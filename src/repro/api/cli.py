@@ -90,7 +90,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--device", help="XC4000 family member (default: auto)")
     g.add_argument("--strategy", choices=sorted(STRATEGY_REGISTRY))
     g.add_argument("--preset", choices=list(EFFORT_PRESETS))
-    g.add_argument("--engine", choices=list(ENGINE_NAMES))
+    # no argparse choices: RunSpec also accepts legacy engine names
+    g.add_argument("--engine",
+                   metavar="{" + ",".join(ENGINE_NAMES) + "}")
     g.add_argument("--seed", type=int)
     g.add_argument("--error-kind", dest="error_kind",
                    choices=list(ERROR_KINDS))

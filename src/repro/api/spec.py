@@ -26,7 +26,7 @@ from repro.debug.strategies import STRATEGY_REGISTRY
 from repro.errors import SpecError
 from repro.pnr.effort import EFFORT_PRESETS
 
-ENGINE_NAMES = ("codegen", "compiled", "interpreted")
+ENGINE_NAMES = ("compiled", "interpreted")
 CACHE_POLICIES = ("shared", "private", "off")
 #: pipeline stages a per-stage budget (``stage_timeouts``) may target
 STAGE_NAMES = ("detect", "localize", "correct", "verify", "diagnose")
@@ -102,7 +102,7 @@ class RunSpec:
     strategy: str = "tiled"
     #: effort preset name (see ``repro.pnr.effort.EFFORT_PRESETS``)
     preset: str = "normal"
-    #: combinational engine: "codegen", "compiled" or "interpreted"
+    #: combinational engine: "compiled" or "interpreted"
     engine: str = "compiled"
     #: campaign seed (stimulus, P&R move sequences)
     seed: int = 1
@@ -159,6 +159,11 @@ class RunSpec:
     chaos: dict | None = None
 
     def __post_init__(self) -> None:
+        if self.engine == "codegen":
+            # the retired exec-codegen engine: its answers were always
+            # the compiled engine's, so old journals, spools and CLI
+            # invocations load as compiled runs
+            object.__setattr__(self, "engine", "compiled")
         self.validate()
 
     # -- validation ----------------------------------------------------

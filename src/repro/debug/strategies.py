@@ -52,6 +52,8 @@ class CommitRecord:
     description: str
     effort: EffortMeter
     detail: str = ""
+    #: the commit replayed a cached tile configuration
+    cache_hit: bool = False
 
 
 def _absorb_changes(
@@ -195,7 +197,8 @@ class TiledStrategy(BaseStrategy):
             self.cache_hits += 1
             detail += " (cached config)"
         self._record_commit(
-            CommitRecord(changes.description, report.effort, detail=detail)
+            CommitRecord(changes.description, report.effort, detail=detail,
+                         cache_hit=report.cache_hit)
         )
         return report.effort
 

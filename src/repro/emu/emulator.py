@@ -27,8 +27,7 @@ OBS_PREFIX = "obs_flag"
 class Emulator:
     """Executes a placed-and-routed design cycle by cycle.
 
-    ``engine`` selects the combinational evaluator: ``"codegen"`` (the
-    exec-compiled straight-line kernel), ``"compiled"`` (the
+    ``engine`` selects the combinational evaluator: ``"compiled"`` (the
     instruction-tape kernel, shared per netlist and kept current across
     ECO edits) or ``"interpreted"`` (the retained reference engine).
     Long-lived consumers like the localizer construct one emulator and
@@ -78,7 +77,7 @@ class Emulator:
                 )
             self.layout = layout
         self._check_configuration()
-        if self.engine in ("compiled", "codegen") and changes is not None:
+        if self.engine == "compiled" and changes is not None:
             self._comb.apply_changeset(changes)
         elif self.engine == "interpreted":
             # re-levelize: the interpreted engine snapshots topo order
@@ -86,7 +85,7 @@ class Emulator:
 
     def cone_runner(self, ports):
         """A fanin-sliced sequential runner for ``ports``, if the
-        active engine supports one (codegen does); ``None`` otherwise.
+        active engine supports one (compiled does); ``None`` otherwise.
         """
         maker = getattr(self._comb, "cone_runner", None)
         return None if maker is None else maker(tuple(ports))

@@ -1,704 +1,17 @@
-"""Codegen simulation engine: exec-compiled straight-line kernels.
+"""Compatibility names left from the retired exec-codegen engine.
 
-The compiled engine (:mod:`repro.netlist.compiled`) already lowers the
-netlist to an instruction tape, but replay still pays one Python
-function call per gate per cycle.  This module lowers the *same tape*
-one step further: the whole combinational evaluation becomes a single
-generated Python function — one local-variable assignment per gate,
-bit-parallel pattern words, masked complements inlined — compiled once
-per netlist revision with ``exec``.  Replay is then one call per cycle
-with zero per-gate dispatch, which is what the detect→localize loop is
-bounded by on the thousand-CLB designs.
-
-Three mechanisms ride on top of the generated function:
-
-* **Incremental region recompile** — :class:`CodegenKernel` subclasses
-  :class:`~repro.netlist.compiled.CompiledKernel`, so
-  ``apply_changeset`` re-lowers only the ChangeSet's combinational
-  fanout region exactly as the tape engine does; only the final
-  tape→function step is replaced.
-
-* **Cone-sliced probe kernels** — :meth:`CodegenKernel.cone_runner`
-  restricts replay to the sequential fanin slice of a set of observed
-  output ports, so a localization probe round evaluates only the logic
-  that can reach the probe instead of the whole design.  Runners are
-  memoized per (revision, observed-set digest) and keyed into the same
-  digest-addressed cache: a previously generated slice function is
-  used outright, a cold slice replays its micro-kernel tape (a strict
-  subset of full replay, so probe rounds are never slower than
-  full-tape replay) and self-promotes to generated code only once
-  enough cycles accumulate to amortize the ``compile()`` cost.  A
-  slice covering most of the tape rides the full function instead of
-  compiling a near-duplicate.
-
-* **Digest-addressed kernel caching** — generated functions are keyed
-  by a SHA-256 over the lowered tape (opcodes, operand slots, LUT
-  tables, destination slots, write-back set: everything the source is
-  a function of) in a process-wide :class:`KernelCache`.  Two
-  structurally identical netlists — the same design resubmitted to the
-  service, or campaign children of one parent — share one compiled
-  function.  Sources persist content-addressed under a ``cache_dir``
-  (``codegen_kernels/`` beside the tile-config store) so warm daemon
-  workers and process-campaign children skip generation entirely.
-
-Results are bit-identical to both existing engines: the generated
-expressions are the same masked-word algebra the micro-kernels use,
-over the same lowering.
+Cone-sliced probe replay now lives on
+:class:`~repro.netlist.compiled.CompiledKernel`; nothing in the package
+imports this module.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-from collections import OrderedDict
-from weakref import WeakKeyDictionary
+# perfbench/layers.py wraps ConeRunner.step under this module path
+from repro.netlist.compiled import ConeRunner
 
-from repro.errors import NetlistError
-from repro.netlist.compiled import (
-    OP_AND,
-    OP_BUF,
-    OP_CONST0,
-    OP_CONST1,
-    OP_LUT,
-    OP_MUX2,
-    OP_NAND,
-    OP_NOR,
-    OP_NOT,
-    OP_OR,
-    OP_XNOR,
-    OP_XOR,
-    CompiledKernel,
-    _fn_for,
-)
-from repro.netlist.core import Netlist, port_name
-from repro.obs.metrics import METRICS
-from repro.obs.trace import maybe_span
+__all__ = ["ConeRunner", "set_active_kernel_cache"]
 
-#: header line prefixing every persisted kernel source; carries the
-#: SHA-256 of the body so a damaged store entry is detected on load
-_STORE_HEADER = "# repro-codegen-kernel v1 sha256="
 
-#: directory (beside ``tile_configs``) holding persisted kernel sources
-CODEGEN_STORE_NAME = "codegen_kernels"
-
-
-# ----------------------------------------------------------------------
-# source generation
-# ----------------------------------------------------------------------
-
-
-def tape_digest(ops, srcs, tables, dests, writeback) -> str:
-    """SHA-256 over everything the generated source is a function of.
-
-    Covers the lowered instruction stream — opcode, operand slots, LUT
-    table, destination slot, in tape order — plus the write-back slot
-    set.  Two netlists with identical lowerings (same design under
-    resubmission, or a campaign sibling) therefore share one digest
-    and one compiled function, which is what makes the cache
-    content-addressed rather than identity-keyed.
-    """
-    blob = repr((
-        b"repro-codegen-v1",
-        tuple(ops), tuple(srcs), tuple(tables), tuple(dests),
-        tuple(writeback),
-    ))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _lut_sop(k: int, table: int, xs: list[str], nxs: list[str]):
-    """Inline SOP expression for a LUT over given operand expressions.
-
-    Same ON-set / complemented-OFF-set selection as the micro-kernel
-    generator, but with operand expressions substituted directly.
-    Returns ``(expression, used_complements)`` — the caller emits one
-    masked-complement temporary per used index ahead of the gate line.
-    """
-    size = 1 << k
-    full = (1 << size) - 1
-    table &= full
-    if table == 0:
-        return "0", set()
-    if table == full:
-        return "m", set()
-    ones = [mt for mt in range(size) if (table >> mt) & 1]
-    invert = len(ones) > size // 2
-    if invert:
-        ones = [mt for mt in range(size) if not (table >> mt) & 1]
-    terms = []
-    used: set[int] = set()
-    for mt in ones:
-        lits = []
-        for j in range(k):
-            if (mt >> j) & 1:
-                lits.append(xs[j])
-            else:
-                lits.append(nxs[j])
-                used.add(j)
-        terms.append("(" + " & ".join(lits) + ")")
-    expr = " | ".join(terms)
-    if invert:
-        expr = f"~({expr}) & m"
-    return expr, used
-
-
-def generate_source(ops, srcs, tables, dests, writeback) -> str:
-    """One straight-line function over the lowered instruction stream.
-
-    Each gate becomes one local assignment (``t<slot> = ...``); operand
-    slots computed earlier in the tape are read as locals, leaf slots
-    (primary inputs, FF Q values) as ``v[<slot>]`` loads.  The
-    ``writeback`` slots are stored back into ``v`` at the end so the
-    caller's output/state/probe reads see them.
-    """
-    lines = ["def _k(v, m):"]
-    computed: set[int] = set()
-
-    def ref(slot: int) -> str:
-        return f"t{slot}" if slot in computed else f"v[{slot}]"
-
-    for i, (op, s, table, d) in enumerate(
-        zip(ops, srcs, tables, dests)
-    ):
-        xs = [ref(slot) for slot in s]
-        if op == OP_CONST0:
-            body = "0"
-        elif op == OP_CONST1:
-            body = "m"
-        elif op == OP_BUF:
-            body = xs[0]
-        elif op == OP_NOT:
-            body = f"~{xs[0]} & m"
-        elif op == OP_AND:
-            body = " & ".join(xs)
-        elif op == OP_OR:
-            body = " | ".join(xs)
-        elif op == OP_NAND:
-            body = "~({}) & m".format(" & ".join(xs))
-        elif op == OP_NOR:
-            body = "~({}) & m".format(" | ".join(xs))
-        elif op == OP_XOR:
-            body = " ^ ".join(xs)
-        elif op == OP_XNOR:
-            body = "~({}) & m".format(" ^ ".join(xs))
-        elif op == OP_MUX2:
-            # ports (sel, d0, d1); identical form to eval_gate
-            body = f"({xs[1]} & ~{xs[0]}) | ({xs[2]} & {xs[0]})"
-        elif op == OP_LUT:
-            nxs = [f"n{i}_{j}" for j in range(len(s))]
-            body, used = _lut_sop(len(s), table or 0, xs, nxs)
-            for j in sorted(used):
-                lines.append(f"    {nxs[j]} = ~{xs[j]} & m")
-        else:  # pragma: no cover - lowering rejects unknown kinds
-            raise NetlistError(f"cannot generate code for opcode {op}")
-        lines.append(f"    t{d} = {body}")
-        computed.add(d)
-    for d in writeback:
-        if d in computed:
-            lines.append(f"    v[{d}] = t{d}")
-    if len(lines) == 1:
-        lines.append("    pass")
-    return "\n".join(lines) + "\n"
-
-
-def _exec_source(digest: str, source: str):
-    namespace: dict = {}
-    exec(compile(source, f"<codegen {digest[:12]}>", "exec"), namespace)
-    return namespace["_k"]
-
-
-# ----------------------------------------------------------------------
-# digest-addressed process-wide cache
-# ----------------------------------------------------------------------
-
-
-class KernelCache:
-    """Bounded LRU of generated kernels keyed by tape digest.
-
-    Entries hold the generated source and, once exec'd, the compiled
-    function.  Sources seeded from a persisted store (:func:`
-    load_kernel_sources`) exec lazily on first use — a warm hit skips
-    source generation entirely and, within one process, compilation
-    too.  The service :class:`~repro.service.warm.WarmRegistry` owns
-    one per worker and installs it via
-    :func:`set_active_kernel_cache`.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.seeded = 0
-        #: digest -> [source, compiled fn or None]
-        self._entries: OrderedDict[str, list] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, digest: str):
-        """The compiled function for ``digest``, or ``None`` on miss."""
-        entry = self._entries.get(digest)
-        if entry is not None:
-            self._entries.move_to_end(digest)
-            if entry[1] is None:
-                try:
-                    entry[1] = _exec_source(digest, entry[0])
-                except (SyntaxError, ValueError, KeyError):
-                    # a damaged seeded source must never poison the
-                    # run — drop it and regenerate from the netlist
-                    del self._entries[digest]
-                    self.misses += 1
-                    METRICS.inc("repro_codegen_cache_misses_total")
-                    return None
-            self.hits += 1
-            METRICS.inc("repro_codegen_cache_hits_total")
-            return entry[1]
-        self.misses += 1
-        METRICS.inc("repro_codegen_cache_misses_total")
-        return None
-
-    def put(self, digest: str, source: str, fn) -> None:
-        self._entries[digest] = [source, fn]
-        self._entries.move_to_end(digest)
-        self._trim()
-
-    def seed(self, digest: str, source: str) -> None:
-        """Insert a persisted source without compiling it yet."""
-        if digest not in self._entries:
-            self._entries[digest] = [source, None]
-            self.seeded += 1
-            self._trim()
-
-    def _trim(self) -> None:
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def sources(self) -> dict[str, str]:
-        return {d: e[0] for d, e in self._entries.items()}
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "seeded": self.seeded,
-        }
-
-
-#: the process-wide cache; always active (codegen is content-addressed
-#: by construction, so sharing is safe by the digest's definition)
-_ACTIVE_CACHE = KernelCache()
-
-
-def set_active_kernel_cache(cache: KernelCache) -> KernelCache:
-    """Install the process-wide kernel cache; returns the old one.
-
-    Long-lived worker processes install the warm registry's cache so
-    hit/miss accounting and persistence are registry-scoped.
-    """
-    global _ACTIVE_CACHE
-    previous = _ACTIVE_CACHE
-    _ACTIVE_CACHE = cache
-    return previous
-
-
-def active_kernel_cache() -> KernelCache:
-    return _ACTIVE_CACHE
-
-
-def _fn_for_tape(ops, srcs, tables, dests, writeback, kind: str,
-                 digest: str | None = None):
-    """(digest, compiled function) for one lowered instruction stream.
-
-    Cache hits skip generation and compilation; misses generate under a
-    ``kernel_compile`` tracer span so ``report --timings`` can expose
-    codegen cost.  ``kind="cone"`` slice compilations are counted here
-    (full/incremental lowerings are counted by the kernel itself).
-    """
-    cache = _ACTIVE_CACHE
-    if digest is None:
-        digest = tape_digest(ops, srcs, tables, dests, writeback)
-    fn = cache.get(digest)
-    if fn is not None:
-        return digest, fn
-    if kind == "cone":
-        METRICS.inc("repro_kernel_compiles_total",
-                    engine="codegen", kind="cone")
-    with maybe_span("kernel_compile", category="engine",
-                    engine="codegen", kind=kind,
-                    instructions=len(ops)):
-        source = generate_source(ops, srcs, tables, dests, writeback)
-        fn = _exec_source(digest, source)
-    cache.put(digest, source, fn)
-    return digest, fn
-
-
-# ----------------------------------------------------------------------
-# cone-sliced probe runners
-# ----------------------------------------------------------------------
-
-
-def observed_digest(ports) -> str:
-    """SHA-256 identity of an observed-port set (order-insensitive)."""
-    h = hashlib.sha256()
-    for port in sorted(ports):
-        h.update(port.encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-class ConeRunner:
-    """Sequential replay restricted to one observed-port fanin slice.
-
-    Bit-identical to stepping the full engine and reading the same
-    ports: the sequential fanin cone is closed under fanin, so every
-    value a slice gate or slice FF reads is itself computed by the
-    slice (or filled from a leaf).  Holds its own FF state — callers
-    ``reset`` then ``step`` it exactly like an emulator.
-
-    Replay has two backends.  A cached generated function (a warm
-    daemon worker, or a slice digest seen before) is used outright.
-    Otherwise the slice replays its micro-kernel tape — a strict
-    subset of the full tape replay, so a probe round is never slower
-    than full replay — and *promotes* itself to generated code only
-    after enough cumulative cycles for the ``compile()`` cost (about
-    two orders of magnitude above one sliced replay cycle) to
-    amortize.  A short probe verdict never compiles; a long-lived
-    slice eventually does.
-    """
-
-    #: cumulative replay cycles after which a tape-backed slice is
-    #: worth compiling to a generated function
-    PROMOTE_AFTER_CYCLES = 256
-
-    def __init__(self, fn, inputs, ffs, outs, n_slots: int,
-                 tape=None, promote=None) -> None:
-        self._fn = fn  # generated function, or None while tape-backed
-        self._tape = tape  # [(micro_fn, srcs, dest)] when fn is None
-        self._promote = promote  # () -> generated fn, once warranted
-        self._inputs = inputs  # [(port, slot)]
-        self._ffs = ffs  # [(name, slot_q, init, slot_d)]
-        self._outs = outs  # [(port, slot)]
-        self._n_slots = n_slots
-        self.state: dict[str, int] = {}
-        self.cycle = 0
-        self.cycles_replayed = 0
-
-    @property
-    def n_ffs(self) -> int:
-        return len(self._ffs)
-
-    def reset(self, n_patterns: int = 1) -> None:
-        mask = (1 << n_patterns) - 1
-        self.state = {
-            name: (mask if init else 0)
-            for name, _, init, _ in self._ffs
-        }
-        self.cycle = 0
-
-    def step(
-        self, inputs: dict[str, int], n_patterns: int = 1
-    ) -> dict[str, int]:
-        if n_patterns < 1:
-            raise NetlistError("need at least one pattern")
-        mask = (1 << n_patterns) - 1
-        v = [0] * self._n_slots
-        for port, slot in self._inputs:
-            v[slot] = inputs.get(port, 0) & mask
-        state = self.state
-        for name, slot_q, init, _ in self._ffs:
-            word = state.get(name)
-            if word is None:
-                word = mask if init else 0
-            else:
-                word &= mask
-            v[slot_q] = word
-        fn = self._fn
-        if (fn is None and self._promote is not None
-                and self.cycles_replayed >= self.PROMOTE_AFTER_CYCLES):
-            self._fn = fn = self._promote()
-            self._promote = None
-        if fn is not None:
-            fn(v, mask)
-        else:
-            for micro, s, d in self._tape:
-                v[d] = micro(v, s, mask)
-        self.cycles_replayed += 1
-        self.state = {
-            name: v[slot_d] for name, _, _, slot_d in self._ffs
-        }
-        self.cycle += 1
-        return {port: v[slot] for port, slot in self._outs}
-
-
-# ----------------------------------------------------------------------
-# the kernel
-# ----------------------------------------------------------------------
-
-
-class CodegenKernel(CompiledKernel):
-    """Straight-line exec-compiled form of one netlist.
-
-    Same lowering, same incremental-recompile machinery and same public
-    API as :class:`CompiledKernel`; only the tape→evaluator step
-    differs — one generated function instead of a per-gate call loop.
-    """
-
-    engine_name = "codegen"
-
-    #: cone runners retained per (revision, observed-set digest)
-    _CONE_RUNNER_LIMIT = 16
-
-    def __init__(self, netlist: Netlist) -> None:
-        self._cone_runners: OrderedDict[tuple, ConeRunner] = OrderedDict()
-        self._compile_kind = "full"
-        super().__init__(netlist)
-
-    # -- compilation ---------------------------------------------------
-
-    def _compile_full(self) -> None:
-        self._compile_kind = "full"
-        self._cone_runners.clear()
-        super()._compile_full()
-
-    def _apply_incremental(self, changes) -> None:
-        self._compile_kind = "incremental"
-        super()._apply_incremental(changes)
-        self._cone_runners.clear()
-
-    def _rebuild_tape(self) -> None:
-        # Nothing happens eagerly.  Generating and exec'ing the
-        # full-design source costs more than an entire probe round on
-        # the large designs, probe verdicts run on cone slices, and
-        # even the tape digest is O(tape) — so the digest, the full
-        # function and the micro-kernel tape all materialize lazily,
-        # the first time something actually needs them.
-        self._digest = None
-        self._fn = None
-        self._micro_full = None
-
-    @property
-    def kernel_digest(self) -> str:
-        if self._digest is None:
-            self._digest = tape_digest(
-                self._ops, self._srcs, self._tables, self._dests,
-                tuple(self._dests),
-            )
-        return self._digest
-
-    def _materialize(self):
-        _, fn = _fn_for_tape(
-            self._ops, self._srcs, self._tables, self._dests,
-            tuple(self._dests), self._compile_kind,
-            digest=self.kernel_digest,
-        )
-        self._fn = fn
-        return fn
-
-    def _replay(self, v: list[int], mask: int) -> None:
-        fn = self._fn
-        if fn is None:
-            fn = self._materialize()
-        fn(v, mask)
-
-    # -- cone slicing --------------------------------------------------
-
-    def cone_runner(self, ports) -> ConeRunner | None:
-        """Sliced runner for the sequential fanin cone of ``ports``.
-
-        ``None`` when a port is not a primary output of the netlist.
-        Memoized per (revision, observed-set digest), so repeated probe
-        rounds against an unchanged netlist reuse the slice.
-        """
-        self.ensure_current()
-        ports = tuple(ports)
-        key = (self._revision, observed_digest(ports))
-        runner = self._cone_runners.get(key)
-        if runner is not None:
-            self._cone_runners.move_to_end(key)
-            return runner
-        runner = self._build_cone_runner(ports)
-        if runner is None:
-            return None
-        self._cone_runners[key] = runner
-        while len(self._cone_runners) > self._CONE_RUNNER_LIMIT:
-            self._cone_runners.popitem(last=False)
-        return runner
-
-    def _build_cone_runner(self, ports: tuple) -> ConeRunner | None:
-        nl = self.netlist
-        by_port = {port_name(po): po for po in nl.primary_outputs()}
-        seeds = []
-        for port in ports:
-            po = by_port.get(port)
-            if po is None:
-                return None
-            seeds.append(po)
-        cone = nl.fanin_cone(seeds, stop_at_ffs=False)
-        outs = [
-            (port, self._slot_of_net[by_port[port].inputs[0].name])
-            for port in ports
-        ]
-        keep = [
-            i for i, name in enumerate(self._instr_names)
-            if name in cone
-        ]
-        if len(keep) * 2 >= len(self._ops):
-            # The slice is a large fraction of the tape, so slicing
-            # saves little replay — ride the full function instead.
-            # Observation points add no tape instruction, so across
-            # probe rounds the full digest is unchanged and the cache
-            # hands the compiled function back for free; only when it
-            # is genuinely absent does the runner fall back to the
-            # micro tape and promote through the kernel's own lazy
-            # materialization (sharing the compiled form).
-            fn = self._fn
-            if fn is None:
-                fn = self._fn = _ACTIVE_CACHE.get(self.kernel_digest)
-            tape = promote = None
-            if fn is None:
-                tape = self._micro_tape(range(len(self._ops)))
-                promote = self._materialize
-            return ConeRunner(
-                fn, list(self._inputs), list(self._ffs),
-                outs, self._n_slots, tape=tape, promote=promote,
-            )
-        ffs = [entry for entry in self._ffs if entry[0] in cone]
-        inputs = [
-            (port_name(pi), self._slot_of_net[pi.output.name])
-            for pi in nl.primary_inputs()
-            if pi.name in cone
-        ]
-        ops = [self._ops[i] for i in keep]
-        srcs = [self._srcs[i] for i in keep]
-        tables = [self._tables[i] for i in keep]
-        dests = [self._dests[i] for i in keep]
-        writeback = tuple(sorted(
-            {slot_d for _, _, _, slot_d in ffs}
-            | {slot for _, slot in outs}
-        ))
-        digest = tape_digest(ops, srcs, tables, dests, writeback)
-        fn = _ACTIVE_CACHE.get(digest)  # warm hit: skip codegen outright
-        tape = promote = None
-        if fn is None:
-            tape = self._micro_tape(keep)
-
-            def promote():
-                return _fn_for_tape(
-                    ops, srcs, tables, dests, writeback, "cone",
-                    digest=digest,
-                )[1]
-
-        return ConeRunner(
-            fn, inputs, ffs, outs, self._n_slots,
-            tape=tape, promote=promote,
-        )
-
-    def _micro_tape(self, indices):
-        """Micro-kernel tape entries for a subset of instructions.
-
-        The full tape is built once per revision; slices index into it
-        so successive probe rounds pay O(slice), not O(tape).
-        """
-        if self._micro_full is None:
-            self._micro_full = [
-                (_fn_for(op, len(s), table), s, d)
-                for op, s, table, d in zip(
-                    self._ops, self._srcs, self._tables, self._dests
-                )
-            ]
-        full = self._micro_full
-        return [full[i] for i in indices]
-
-
-# ----------------------------------------------------------------------
-# shared kernels
-# ----------------------------------------------------------------------
-
-_KERNELS: "WeakKeyDictionary[Netlist, CodegenKernel]" = WeakKeyDictionary()
-
-
-def codegen_kernel_for(netlist: Netlist) -> CodegenKernel:
-    """One shared codegen kernel per netlist (revision-checked on use)."""
-    kernel = _KERNELS.get(netlist)
-    if kernel is None:
-        kernel = CodegenKernel(netlist)
-        _KERNELS[netlist] = kernel
-    return kernel
-
-
-# ----------------------------------------------------------------------
-# content-addressed persistence (beside the tile-config store)
-# ----------------------------------------------------------------------
-
-
-def codegen_store_path(cache_dir: str) -> str:
-    """``<cache_dir>/codegen_kernels`` — sibling of ``tile_configs``."""
-    return os.path.join(cache_dir, CODEGEN_STORE_NAME)
-
-
-def save_kernel_sources(
-    cache_dir: str, cache: KernelCache | None = None
-) -> int:
-    """Persist generated sources content-addressed by tape digest.
-
-    Atomic temp+replace writes, skip-if-present (content addressing
-    makes every entry immutable).  Returns the number written.
-    """
-    cache = cache if cache is not None else _ACTIVE_CACHE
-    sources = cache.sources()
-    if not sources:
-        return 0
-    root = codegen_store_path(cache_dir)
-    os.makedirs(root, exist_ok=True)
-    written = 0
-    for digest, source in sources.items():
-        path = os.path.join(root, f"{digest}.py")
-        if os.path.exists(path):
-            continue
-        body_sha = hashlib.sha256(source.encode()).hexdigest()
-        tmp = f"{path}.tmp{os.getpid()}"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(f"{_STORE_HEADER}{body_sha}\n")
-                fh.write(source)
-            os.replace(tmp, path)
-        except OSError:
-            continue
-        written += 1
-    return written
-
-
-def load_kernel_sources(
-    cache_dir: str, cache: KernelCache | None = None
-) -> int:
-    """Seed the cache from a persisted store; returns entries loaded.
-
-    Entries whose body hash disagrees with the header (torn or damaged
-    writes) are skipped — the kernel regenerates from the netlist, so
-    a hostile or corrupt store can only cost time, never correctness.
-    """
-    cache = cache if cache is not None else _ACTIVE_CACHE
-    root = codegen_store_path(cache_dir)
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        return 0
-    loaded = 0
-    for name in names:
-        if not name.endswith(".py"):
-            continue
-        digest = name[:-3]
-        try:
-            with open(os.path.join(root, name)) as fh:
-                header = fh.readline()
-                source = fh.read()
-        except OSError:
-            continue
-        if not header.startswith(_STORE_HEADER):
-            continue
-        body_sha = header[len(_STORE_HEADER):].strip()
-        if hashlib.sha256(source.encode()).hexdigest() != body_sha:
-            continue
-        cache.seed(digest, source)
-        loaded += 1
-    return loaded
+def set_active_kernel_cache(cache) -> None:
+    """No-op kept for perfbench/child.py, which still installs a cache."""

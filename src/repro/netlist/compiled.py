@@ -45,10 +45,22 @@ lowered region appended after the surviving prefix while preserving
 topological validity.  Mutations made without a changeset are caught by
 the :class:`~repro.netlist.core.Netlist` revision counter and trigger a
 full recompile, so the kernel can never silently run stale.
+
+Cone-sliced probe replay
+========================
+
+A localization probe verdict only reads one observation output, so
+:meth:`CompiledKernel.cone_runner` hands out a :class:`ConeRunner` that
+replays just the tape entries in that output's sequential fanin cone
+(a sub-list of the tape, never longer than the full replay).  The
+slice is fanin-closed, so its port values are bit-identical to full
+replay.  Runners are memoized per (revision, observed ports) and the
+memo is dropped on every full or incremental recompile.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from weakref import WeakKeyDictionary
 
 from repro.errors import NetlistError
@@ -180,6 +192,78 @@ def _fn_for(op: int, k: int, table: int | None):
 
 
 # ----------------------------------------------------------------------
+# tape replay
+# ----------------------------------------------------------------------
+
+
+def _replay(tape, n_slots: int, inputs, ffs, stimulus: dict[str, int],
+            n_patterns: int, state: dict[str, int]) -> list[int]:
+    """Fill the leaf slots, run ``tape``, return the slot values.
+
+    ``inputs`` is ``[(port, slot)]`` and ``ffs`` is
+    ``[(name, slot_q, init, slot_d)]``; the full kernel and every cone
+    slice replay through here.
+    """
+    if n_patterns < 1:
+        raise NetlistError("need at least one pattern")
+    mask = (1 << n_patterns) - 1
+    v = [0] * n_slots
+    for port, slot in inputs:
+        try:
+            v[slot] = stimulus[port] & mask
+        except KeyError:
+            raise NetlistError(
+                f"no stimulus for primary input {port!r}"
+            ) from None
+    for name, slot_q, init, _ in ffs:
+        word = state.get(name)
+        if word is None:
+            word = mask if init else 0
+        else:
+            word &= mask
+        v[slot_q] = word
+    for fn, s, d in tape:
+        v[d] = fn(v, s, mask)
+    return v
+
+
+class ConeRunner:
+    """Sequential replay restricted to one observed-port fanin slice.
+
+    Bit-identical to stepping the full engine and reading the same
+    ports: the sequential fanin cone is closed under fanin, so every
+    value a slice gate or slice FF reads is itself computed by the
+    slice (or filled from a leaf).  Holds its own FF state — callers
+    ``reset`` then ``step`` it exactly like an emulator.
+    """
+
+    def __init__(self, tape, inputs, ffs, outs, n_slots: int) -> None:
+        self._tape = tape  # [(micro_fn, srcs, dest)], a tape sub-list
+        self._inputs = inputs  # [(port, slot)]
+        self._ffs = ffs  # [(name, slot_q, init, slot_d)]
+        self._outs = outs  # [(port, slot)]
+        self._n_slots = n_slots
+        self.state: dict[str, int] = {}
+
+    def reset(self, n_patterns: int = 1) -> None:
+        mask = (1 << n_patterns) - 1
+        self.state = {
+            name: (mask if init else 0)
+            for name, _, init, _ in self._ffs
+        }
+
+    def step(
+        self, inputs: dict[str, int], n_patterns: int = 1
+    ) -> dict[str, int]:
+        v = _replay(self._tape, self._n_slots, self._inputs, self._ffs,
+                    inputs, n_patterns, self.state)
+        self.state = {
+            name: v[slot_d] for name, _, _, slot_d in self._ffs
+        }
+        return {port: v[slot] for port, slot in self._outs}
+
+
+# ----------------------------------------------------------------------
 # the kernel
 # ----------------------------------------------------------------------
 
@@ -193,8 +277,8 @@ class CompiledKernel:
     emulator, sequential simulator and localizer.
     """
 
-    #: metric label distinguishing this kernel from subclasses
-    engine_name = "compiled"
+    #: cone runners retained per (revision, observed ports)
+    _CONE_RUNNER_LIMIT = 16
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
@@ -226,7 +310,7 @@ class CompiledKernel:
         self._revision = nl.revision
         self.compile_count += 1
         METRICS.inc("repro_kernel_compiles_total",
-                    engine=self.engine_name, kind="full")
+                    engine="compiled", kind="full")
 
     def _slot(self, net_name: str) -> int:
         slot = self._slot_of_net.get(net_name)
@@ -284,6 +368,7 @@ class CompiledKernel:
         self._n_slots = len(self._slot_of_net)
 
     def _rebuild_tape(self) -> None:
+        self._cone_runners: OrderedDict[tuple, ConeRunner] = OrderedDict()
         self._tape = list(
             zip(
                 (
@@ -364,7 +449,7 @@ class CompiledKernel:
         self._revision = nl.revision
         self.incremental_count += 1
         METRICS.inc("repro_kernel_compiles_total",
-                    engine=self.engine_name, kind="incremental")
+                    engine="compiled", kind="incremental")
 
     def _region_topo(self, region: set[str]) -> list[Instance]:
         """Topological order of the region's combinational instances."""
@@ -408,35 +493,8 @@ class CompiledKernel:
     def _evaluate(
         self, inputs: dict[str, int], n_patterns: int, state: dict[str, int]
     ) -> list[int]:
-        if n_patterns < 1:
-            raise NetlistError("need at least one pattern")
-        mask = (1 << n_patterns) - 1
-        v = [0] * self._n_slots
-        for port, slot in self._inputs:
-            try:
-                v[slot] = inputs[port] & mask
-            except KeyError:
-                raise NetlistError(
-                    f"no stimulus for primary input {port!r}"
-                ) from None
-        for name, slot_q, init, _ in self._ffs:
-            word = state.get(name)
-            if word is None:
-                word = mask if init else 0
-            else:
-                word &= mask
-            v[slot_q] = word
-        self._replay(v, mask)
-        return v
-
-    def _replay(self, v: list[int], mask: int) -> None:
-        """Evaluate the lowered combinational logic in place.
-
-        The codegen subclass overrides this with one straight-line
-        generated function call; here it is the tape replay loop.
-        """
-        for fn, s, d in self._tape:
-            v[d] = fn(v, s, mask)
+        return _replay(self._tape, self._n_slots, self._inputs, self._ffs,
+                       inputs, n_patterns, state)
 
     def run(
         self,
@@ -476,6 +534,69 @@ class CompiledKernel:
     @property
     def n_instructions(self) -> int:
         return len(self._ops)
+
+    # -- cone slicing --------------------------------------------------
+
+    def cone_runner(self, ports) -> ConeRunner | None:
+        """Sliced runner for the sequential fanin cone of ``ports``.
+
+        ``None`` when a port is not a primary output of the netlist.
+        Memoized per (revision, observed ports), so repeated probe
+        rounds against an unchanged netlist reuse the slice.
+        """
+        self.ensure_current()
+        ports = tuple(ports)
+        key = (self._revision, tuple(sorted(ports)))
+        runner = self._cone_runners.get(key)
+        if runner is not None:
+            self._cone_runners.move_to_end(key)
+            return runner
+        runner = self._build_cone_runner(ports)
+        if runner is None:
+            return None
+        self._cone_runners[key] = runner
+        while len(self._cone_runners) > self._CONE_RUNNER_LIMIT:
+            self._cone_runners.popitem(last=False)
+        return runner
+
+    def _build_cone_runner(self, ports: tuple) -> ConeRunner | None:
+        """Walk the tape backwards from the observed output slots.
+
+        A slot is either produced by one tape entry (whose operand
+        slots are then needed), an FF Q leaf (its D slot is needed:
+        the cone is sequential), or a primary-input leaf.
+        """
+        out_slot = dict(self._outputs)
+        if any(port not in out_slot for port in ports):
+            return None
+        producer = {dest: i for i, dest in enumerate(self._dests)}
+        d_of_q = {slot_q: slot_d for _, slot_q, _, slot_d in self._ffs}
+        outs = [(port, out_slot[port]) for port in ports]
+        seen = {slot for _, slot in outs}
+        work = list(seen)
+        keep = []
+        while work:
+            slot = work.pop()
+            i = producer.get(slot)
+            if i is not None:
+                keep.append(i)
+                needs = self._srcs[i]
+            elif slot in d_of_q:
+                needs = (d_of_q[slot],)
+            else:
+                continue
+            for src in needs:
+                if src not in seen:
+                    seen.add(src)
+                    work.append(src)
+        keep.sort()
+        return ConeRunner(
+            [self._tape[i] for i in keep],
+            [entry for entry in self._inputs if entry[1] in seen],
+            [entry for entry in self._ffs if entry[1] in seen],
+            outs,
+            self._n_slots,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -389,7 +389,7 @@ class TracingHooks:
         self.tracer.instant(
             "commit", category="route",
             description=record.description,
-            cache_hit="(cached config)" in (record.detail or ""),
+            cache_hit=record.cache_hit,
         )
         if self.inner is not None:
             self.inner.on_commit(ctx, record)

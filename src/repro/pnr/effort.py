@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 #: Weight of one router node expansion relative to one annealer move.
 ROUTE_EXPANSION_WEIGHT = 0.4
 
-#: Fixed work-unit cost charged per back-end invocation.  Calibrated so
-#: that single-tile jobs on the paper's largest designs land in the
-#: paper's single-to-low-double-digit speedup band (see EXPERIMENTS.md).
+#: Fixed work-unit cost charged per back-end invocation.  Uncalibrated:
+#: meant to put single-tile jobs on the paper's largest designs in the
+#: paper's single-to-low-double-digit speedup band, but not yet checked
+#: against the paper's figures (ROADMAP item 4).
 INVOCATION_OVERHEAD_UNITS = 800.0
 
 

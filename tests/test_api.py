@@ -68,6 +68,18 @@ class TestRunSpec:
         spec = RunSpec()
         assert RunSpec.from_json(spec.to_json()) == spec
 
+    def test_legacy_codegen_engine_is_compiled(self):
+        legacy = RunSpec(engine="codegen")
+        compiled = RunSpec(engine="compiled")
+        assert legacy == compiled
+        assert legacy.digest() == compiled.digest()
+        # a JSON line saved when the codegen engine existed
+        line = json.dumps(dict(compiled.to_dict(), engine="codegen"))
+        loaded = RunSpec.from_json(line)
+        assert loaded == compiled
+        assert RunSpec.from_json(loaded.to_json()) == loaded
+        assert loaded.replaced(engine="codegen") == compiled
+
     @pytest.mark.parametrize("overrides", [
         {"design": "nonesuch"},
         {"strategy": "nonesuch"},

@@ -22,7 +22,14 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import Tracer, render_chrome_tree, render_span_tree
+from repro.debug.strategies import CommitRecord
+from repro.obs.trace import (
+    Tracer,
+    TracingHooks,
+    render_chrome_tree,
+    render_span_tree,
+)
+from repro.pnr.effort import EffortMeter
 
 #: the cheapest spec that excites, localizes, and fixes a bug
 FAST = dict(design="9sym", preset="fast", max_probes=6, cache="off",
@@ -138,6 +145,21 @@ def test_tracing_never_changes_the_answer():
     assert plain.candidates == traced.candidates
     assert plain.status == traced.status == "ok"
     assert plain.profile is None and traced.profile is not None
+
+
+def test_commit_cache_hit_comes_from_the_record_field():
+    """The trace's cache_hit mirrors ``CommitRecord.cache_hit``; the
+    human-readable ``detail`` text plays no part."""
+    tracer = Tracer()
+    hooks = TracingHooks(tracer)
+    hooks.on_commit(None, CommitRecord("replayed", EffortMeter(),
+                                       detail="tiles 3", cache_hit=True))
+    hooks.on_commit(None, CommitRecord("fresh", EffortMeter(),
+                                       detail="(cached config)"))
+    replayed, fresh = tracer.roots
+    assert replayed.name == fresh.name == "commit"
+    assert replayed.attrs["cache_hit"] is True
+    assert fresh.attrs["cache_hit"] is False
 
 
 def test_chrome_trace_export_shape_and_tree_rebuild(tmp_path):

@@ -108,6 +108,8 @@ SLICING_SPEEDUP_CANARY = 1.0
 SLICING_REPEATS = 3
 #: armed tracing may cost at most this much wall-clock over disarmed
 OBS_OVERHEAD_LIMIT_PCT = 5.0
+#: interleaved plain/traced run pairs for the overhead gate (min per arm)
+OBS_REPEATS = 5
 
 
 def bench_sim_throughput(
@@ -434,14 +436,15 @@ def bench_service_warm(design: str, error_seed: int,
 
 
 def bench_obs_overhead(design: str, error_seed: int,
-                       max_probes: int = 12, iters: int = 2) -> dict:
+                       max_probes: int = 12) -> dict:
     """Wall-clock cost of an armed tracer on a full campaign run.
 
     The observability layer promises "zero-cost when disarmed" (the
     default path never touches a tracer) and "cheap when armed".  This
-    section prices the armed half: the same spec run with and without a
-    :class:`~repro.obs.trace.Tracer`, min-of-``iters`` per arm to shed
-    scheduler noise, with semantic bit-identity asserted between arms —
+    section prices the armed half: ``OBS_REPEATS`` interleaved
+    plain/traced pairs of the same spec (alternating which arm runs
+    first, so drift on a noisy host hits both arms alike), min seconds
+    per arm, with semantic bit-identity asserted between arms —
     tracing observes the run, it must never steer it.
     """
     from repro.api import run_spec
@@ -454,20 +457,17 @@ def bench_obs_overhead(design: str, error_seed: int,
     )
     run_spec(spec)  # warm-up: imports + kernel lowering, untimed
 
-    def timed(tracer):
-        t0 = time.perf_counter()
-        result = run_spec(spec, tracer=tracer)
-        return time.perf_counter() - t0, result
-
-    plain_s, plain_result = min(
-        (timed(None) for _ in range(iters)), key=lambda t: t[0]
-    )
-    tracers = [Tracer() for _ in range(iters)]
-    traced_s, traced_result = min(
-        (timed(t) for t in tracers), key=lambda t: t[0]
-    )
+    runs: dict[bool, list] = {False: [], True: []}
+    for pair in range(OBS_REPEATS):
+        for traced in ((True, False) if pair % 2 else (False, True)):
+            tracer = Tracer() if traced else None
+            t0 = time.perf_counter()
+            result = run_spec(spec, tracer=tracer)
+            runs[traced].append((time.perf_counter() - t0, result, tracer))
+    plain_s, plain_result, _ = min(runs[False], key=lambda t: t[0])
+    traced_s, traced_result, _ = min(runs[True], key=lambda t: t[0])
     n_events = max(len(t.to_chrome_trace()["traceEvents"])
-                   for t in tracers)
+                   for _, _, t in runs[True])
 
     plain_dict = plain_result.to_dict()
     traced_dict = traced_result.to_dict()
@@ -482,7 +482,7 @@ def bench_obs_overhead(design: str, error_seed: int,
     overhead_pct = 100.0 * (traced_s - plain_s) / plain_s
     return {
         "design": design,
-        "iters": iters,
+        "pairs": OBS_REPEATS,
         "plain_seconds": round(plain_s, 6),
         "traced_seconds": round(traced_s, 6),
         "overhead_pct": round(overhead_pct, 3),

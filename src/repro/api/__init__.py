@@ -11,13 +11,14 @@ API surface:
   :class:`RunContext`, observable through :class:`PipelineHooks`;
 * :func:`run_spec` — one spec in, one :class:`RunResult` out;
 * :class:`CampaignRunner` / :func:`expand_matrix` — fan spec grids
-  through the pipeline with worker threads or supervised worker
-  processes, journaled for ``--resume``;
+  through the pipeline with worker threads or resident supervised
+  worker processes, journaled for ``--resume``;
 * the ``python -m repro`` CLI (``run`` / ``campaign`` / ``bench`` /
   ``report`` / ``cache verify``) built on all of the above.
 
-Legacy entry points (`EmulationDebugSession`, `run_campaign`) are thin
-shims over these stages and stay bit-identical.
+A design that exists only in memory (no spec can name it) runs as
+``DebugPipeline().execute(RunContext(packed=..., device=...,
+golden=..., strategy=...))``.
 """
 
 from repro.api.campaign import (

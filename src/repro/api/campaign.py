@@ -10,13 +10,15 @@ before they are applied).
 
 Two executors share the same contract.  ``executor="thread"`` is the
 historical in-process fan-out — cheap, GIL-bound, bit-identical to
-every prior release.  ``executor="process"`` ships each spec to a
-supervised child process (:mod:`repro.resilience.supervisor`): true
-parallelism, hard kill-based wall-clock limits, and worker death
-(crash, OOM-kill, lost heartbeat, chaos ``worker_kill``) folded into
-structured ``status="failed"`` results with stage ``"worker"`` instead
-of a dead campaign.  Workers share warm tile configurations through
-the crash-safe on-disk store under ``cache_dir``.
+every prior release.  ``executor="process"`` runs each spec on a
+resident, supervised ``python -m repro.service.worker`` child, one per
+pool thread — the daemon's worker (:mod:`repro.service.worker`): true
+parallelism, hard kill-based wall-clock limits, warm state across the
+campaign's own runs, and worker death (crash, OOM-kill, lost
+heartbeat, chaos ``worker_kill``) folded into structured
+``status="failed"`` results with stage ``"worker"`` instead of a dead
+campaign.  Workers share warm tile configurations through the
+crash-safe on-disk store under ``cache_dir``.
 
 A ``journal`` (append-only JSONL, flushed per completed run) plus
 ``resume=True`` turns an interrupted campaign — SIGINT, OOM, power —
@@ -228,15 +230,20 @@ class CampaignRunner:
 
     ``executor="thread"`` (default) keeps the historical in-process
     fan-out, bit-identical to prior releases.  ``executor="process"``
-    spawns one supervised child per run
-    (:func:`repro.resilience.supervisor.run_supervised`): the
-    supervisor kills children that blow a hard wall-clock ceiling or
-    stop heartbeating, and any worker death becomes a structured
-    ``failed`` result with stage ``"worker"`` — subject to the same
-    ``on_error`` policy as in-process failures.  Process workers share
-    warm tile configurations through the on-disk store under
-    ``cache_dir`` (each worker merges on load and writes back its new
-    entries atomically).
+    gives each pool thread one resident worker process
+    (:class:`repro.service.worker.WorkerHandle`), spawned on its first
+    spec and warmed from ``cache_dir``; every spec runs through
+    :meth:`~repro.service.worker.WorkerHandle.run_job`, which kills a
+    worker that blows a hard wall-clock ceiling or stops heartbeating.
+    A worker death settles its run as a structured ``failed`` result
+    with stage ``"worker"`` — subject to the same ``on_error`` policy
+    as in-process failures, never re-dispatched — and the worker
+    respawns for the thread's next spec.  Ctrl-C kills in-flight
+    workers, and every worker is closed before :meth:`run` returns.
+    In process workers ``"shared"`` is the worker's resident cache,
+    ``"private"`` a fresh cache per run, and a per-spec ``cache_dir``
+    is ignored (as under threads); workers merge the store on spawn
+    and write back their new entries atomically after every run.
 
     A ``journal`` records every completed run as one flushed JSONL
     line; with ``resume=True`` the runner first loads it and skips
@@ -311,6 +318,10 @@ class CampaignRunner:
         self._policy_caches: dict[str, TileConfigCache] = {}
         #: signals in-flight supervised workers to die on interrupt
         self._stop = threading.Event()
+        #: process executor: one resident worker per pool thread
+        self._local = threading.local()
+        self._handles: list = []
+        self._handles_lock = threading.Lock()
 
     def _cache_for(self, spec: RunSpec) -> TileConfigCache | None:
         if spec.cache == "off":
@@ -367,10 +378,11 @@ class CampaignRunner:
                            notes: list) -> None:
         """Fire any selected cache-file faults against ``cache_dir``.
 
-        Runs just before the final merge-load, so the write-back path
-        itself is exercised against a hostile file: the load must
-        cold-start (merging nothing) and the save must still produce a
-        valid file from the in-memory entries.
+        The thread executor runs this just before the final write-back,
+        the process executor before its workers spawn and load, so a
+        load or write-back is exercised against a hostile file: the
+        load must cold-start (merging nothing) and the save must still
+        produce a valid store from the in-memory entries.
         """
         from repro.resilience.chaos import (
             CACHE_FILE_KINDS,
@@ -399,34 +411,36 @@ class CampaignRunner:
                         "tile cache before write-back"
                     )
 
-    def _worker_spec(self, spec: RunSpec) -> RunSpec:
-        """The spec a supervised worker receives.
+    def _run_on_worker(self, spec: RunSpec) -> RunResult:
+        """One spec on this pool thread's resident worker process."""
+        from repro.service.worker import WorkerHandle, result_of
 
-        Process workers share warm tile configs only through the
-        on-disk store, so the campaign's ``cache_dir`` rides along on
-        every cache-enabled spec that did not pin its own.
-        """
-        if (
-            self.cache_dir is not None
-            and spec.cache != "off"
-            and spec.cache_dir is None
-        ):
-            return spec.replaced(cache_dir=self.cache_dir)
-        return spec
+        handle = getattr(self._local, "handle", None)
+        if handle is None:
+            with self._handles_lock:
+                handle = WorkerHandle(index=len(self._handles),
+                                      cache_dir=self.cache_dir)
+                self._handles.append(handle)
+            self._local.handle = handle
+        outcome = handle.run_job(spec, hard_timeout_s=self.hard_timeout_s,
+                                 stop=self._stop)
+        # a dead worker respawns on this thread's next spec; the run it
+        # died in settles as a failure and is never re-dispatched
+        return result_of(spec, outcome)
 
-    def _run_supervised(self, spec: RunSpec) -> RunResult:
-        from repro.resilience.supervisor import run_supervised
-
-        return run_supervised(
-            self._worker_spec(spec),
-            hard_timeout_s=self.hard_timeout_s,
-            stop_event=self._stop,
-        )
+    def _close_workers(self) -> None:
+        with self._handles_lock:
+            handles, self._handles = self._handles, []
+        for handle in handles:
+            handle.stop()
+        for handle in handles:
+            handle.close()
+        self._local = threading.local()
 
     def _journal_append(self, spec: RunSpec, result: RunResult) -> None:
         """Record a finished run — but never an interrupted one.
 
-        A ``WorkerInterrupted`` failure means the supervisor killed the
+        A ``WorkerInterrupted`` failure means the worker handle killed the
         child because the *campaign* was stopping, not because the run
         failed; journaling it would make ``--resume`` treat an unstarted
         run as a finished failure.
@@ -477,12 +491,16 @@ class CampaignRunner:
                 self._cache_for(spec)
             caches = self._campaign_caches()
             before = [cache.stats() for cache in caches]
+        elif self.cache_dir is not None:
+            # workers warm from the store when they spawn: damage it
+            # first, so their loads must quarantine and cold-start
+            self._apply_cache_chaos(specs, notes)
         aborted = False
         interrupted = False
         t0 = time.perf_counter()
 
         run_one = (
-            self._run_supervised if self.executor == "process"
+            self._run_on_worker if self.executor == "process"
             else self._run_isolated
         )
 
@@ -492,7 +510,7 @@ class CampaignRunner:
             slots[index] = result
             self._journal_append(spec, result)
             # thread-mode runs already counted themselves in run_spec,
-            # and process-mode child snapshots merge in the supervisor;
+            # and process-mode worker deltas merge in ``run_job``;
             # the campaign-level view counts every slotted run exactly
             # once regardless of executor
             METRICS.inc("repro_campaign_runs_total", status=result.status)
@@ -549,6 +567,7 @@ class CampaignRunner:
                         if self.journal is not None else ""
                     )
                 )
+            self._close_workers()
             # the write-back must happen even if the fan-out machinery
             # itself raises: completed runs already paid for their warm
             # entries, and a later campaign should start from them

@@ -24,9 +24,10 @@ Four subcommands, all built on :mod:`repro.api`:
 invocations, so a repeated run starts warm and replays precomputed
 configurations instead of re-running place-and-route.
 
-``campaign --executor process`` runs each spec in a supervised child
-process (hard wall-clock kills, crash isolation); ``--journal FILE``
-plus ``--resume`` restarts an interrupted campaign from where it died.
+``campaign --executor process`` runs the specs on resident, supervised
+worker processes (hard wall-clock kills, crash isolation);
+``--journal FILE`` plus ``--resume`` restarts an interrupted campaign
+from where it died.
 """
 
 from __future__ import annotations
@@ -341,8 +342,7 @@ def cmd_cache_verify(args: argparse.Namespace) -> int:
             f"{args.path}: {report['valid']} valid entr"
             f"{'y' if report['valid'] == 1 else 'ies'}, "
             f"{len(report['corrupt'])} corrupt, "
-            f"{len(report['quarantined'])} quarantined, "
-            f"{report['legacy_entries']} legacy"
+            f"{len(report['quarantined'])} quarantined"
         )
         for kind in ("corrupt", "quarantined"):
             for entry in report[kind]:
@@ -727,8 +727,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="thread",
                         help="run in-process threads (default, "
                              "bit-identical to prior releases) or "
-                             "supervised child processes (true "
-                             "parallelism, hard kills, crash isolation)")
+                             "resident supervised worker processes "
+                             "(true parallelism, hard kills, crash "
+                             "isolation)")
     p_camp.add_argument("--hard-timeout", type=float,
                         dest="hard_timeout_s", metavar="SECONDS",
                         help="process executor: kill a worker outright "
@@ -899,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_verify = cache_sub.add_parser(
         "verify",
-        help="damage report for a --cache-dir, store directory, entry "
-             "file, or legacy cache pickle (exit 1 on damage)",
+        help="damage report for a --cache-dir, store directory, or "
+             "entry file (exit 1 on damage)",
     )
     p_verify.add_argument("path", help="cache directory or file to verify")
     p_verify.set_defaults(func=cmd_cache_verify)

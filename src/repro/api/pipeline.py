@@ -20,9 +20,8 @@ per round (or several at once, when CEGIS lands a joint repair),
 retiring the previous round's stale observation points before new
 probes go in.
 
-`EmulationDebugSession.run`, the `python -m repro` CLI, and the
-campaign runner all execute these same stage objects, which is what
-keeps the legacy entry points bit-identical to the facade: there is
+:func:`run_spec`, the `python -m repro` CLI, the campaign runner and
+the service worker all execute these same stage objects: there is
 only one implementation of the loop.
 
 Observers subclass :class:`PipelineHooks` and receive
@@ -127,8 +126,9 @@ class RoundRecord:
 class RunContext:
     """Shared state the stages read and grow.
 
-    Construction fields mirror the historical session/run signatures;
-    result fields are filled in stage order.
+    Construction fields are the run's inputs (:meth:`from_spec` fills
+    them from a :class:`~repro.api.spec.RunSpec`); result fields are
+    filled in stage order.
     """
 
     packed: PackedDesign

@@ -2,15 +2,15 @@
 cooperative budgets, a graceful-degradation ladder, and a deterministic
 chaos harness.
 
-The in-process half — structured :class:`RunFailure` records,
-cooperative deadlines, retries and degradation, deterministic chaos —
-landed first; :mod:`repro.resilience.supervisor` adds the hard half:
-campaign runs executed in spawned child processes whose crashes,
-hangs, and OOM-kills fold back into the same structured failure
-taxonomy (stage ``"worker"``) instead of taking the campaign down.
-Every failure mode stays exercisable in CI
-(:mod:`repro.resilience.chaos`, including ``worker_kill`` /
-``worker_hang``).
+This package is the in-process half: structured :class:`RunFailure`
+records, cooperative deadlines, retries and degradation, deterministic
+chaos.  The hard half lives in :mod:`repro.service.worker`: runs
+executed on supervised worker processes (daemon jobs and
+``executor="process"`` campaigns) whose crashes, hangs, and OOM-kills
+fold back into the same structured failure taxonomy (stage
+``"worker"``) instead of taking the caller down.  Every failure mode
+stays exercisable in CI (:mod:`repro.resilience.chaos`, including
+``worker_kill`` / ``worker_hang``).
 """
 
 from repro.resilience.budget import (
@@ -40,7 +40,6 @@ from repro.resilience.failure import (
     RunFailure,
     traceback_digest,
 )
-from repro.resilience.supervisor import hard_timeout_for, run_supervised
 
 __all__ = [
     "CHAOS_KINDS",
@@ -62,9 +61,7 @@ __all__ = [
     "clamp_backoff",
     "corrupt_cache_file",
     "deadline_scope",
-    "hard_timeout_for",
     "in_supervised_worker",
     "next_degraded",
-    "run_supervised",
     "traceback_digest",
 ]

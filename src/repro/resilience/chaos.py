@@ -60,13 +60,13 @@ CACHE_FILE_KINDS = ("cache_truncate", "cache_corrupt")
 #: kinds that assassinate a supervised worker process mid-stage
 WORKER_KINDS = ("worker_kill", "worker_hang")
 
-#: environment marker the supervisor sets in worker children; worker
+#: environment marker set in supervised worker children; worker
 #: kinds only fire when it is present (see :func:`in_supervised_worker`)
 WORKER_ENV = "REPRO_SUPERVISED_WORKER"
 
 
 def in_supervised_worker() -> bool:
-    """True inside a process spawned by the campaign supervisor."""
+    """True inside a supervised worker process (repro.service.worker)."""
     return bool(os.environ.get(WORKER_ENV))
 
 _STAGE_NAMES = ("detect", "localize", "correct", "verify", "diagnose")

@@ -16,8 +16,9 @@ Layout:
   and a crash-safe persistent spool.
 * :mod:`repro.service.protocol` — newline-delimited JSON framing and
   verb shapes shared by daemon and client.
-* :mod:`repro.service.worker` — the looping child process
-  (``python -m repro.service.worker``).
+* :mod:`repro.service.worker` — the supervised worker process
+  (``python -m repro.service.worker``) and :class:`WorkerHandle`, its
+  per-job supervision loop, shared with process-executor campaigns.
 * :mod:`repro.service.daemon` — the socket server + worker pool
   (``python -m repro serve``).
 * :mod:`repro.service.client` — :class:`Client` python API backing
@@ -29,14 +30,26 @@ spec (modulo timings and attempt metadata), which the service test
 suite asserts field-for-field.
 """
 
-from repro.service.client import Client
-from repro.service.daemon import ReproService, ServiceConfig
-from repro.service.warm import WarmRegistry, design_digest
+import importlib
 
-__all__ = [
-    "Client",
-    "ReproService",
-    "ServiceConfig",
-    "WarmRegistry",
-    "design_digest",
-]
+#: public name → defining module.  Resolved on first access, so that
+#: ``python -m repro.service.worker`` does not import the worker module
+#: a second time through the daemon before running it as ``__main__``.
+_EXPORTS = {
+    "Client": "repro.service.client",
+    "ReproService": "repro.service.daemon",
+    "ServiceConfig": "repro.service.daemon",
+    "WarmRegistry": "repro.service.warm",
+    "design_digest": "repro.service.warm",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    return getattr(importlib.import_module(module), name)

@@ -4,20 +4,22 @@
 :class:`ReproService`: a ``socketserver.ThreadingUnixStreamServer``
 answering the :mod:`repro.service.protocol` verbs, a
 :class:`~repro.service.queue.JobQueue` with a crash-safe spool under
-``<cache-dir>/service/``, and ``N`` long-lived
-``python -m repro.service.worker`` children, each supervised with the
-exact policy :func:`~repro.resilience.supervisor.run_supervised`
-applies to one-shot campaign workers — heartbeat-silence watchdog,
-per-spec hard wall-clock ceiling, SIGKILL + reap — just re-applied per
-*job* instead of per process lifetime.
+``<cache-dir>/service/``, and ``N`` resident ``python -m
+repro.service.worker`` children.  Each child sits behind a
+:class:`~repro.service.worker.WorkerHandle`, and every job goes through
+:meth:`~repro.service.worker.WorkerHandle.run_job` — the same per-job
+supervision loop (heartbeat watchdog, hard wall-clock ceiling, SIGKILL
++ reap) that ``CampaignRunner(executor="process")`` uses.
 
-Worker death mid-job is a first-class event, not an error path: the
-dispatcher folds the death into a stage-``"worker"``
-:class:`~repro.resilience.failure.RunFailure`, re-queues the job once
-(``max_requeues``), respawns the worker, and only after repeated death
-settles the job as ``status="failed"`` carrying every death record.  A
-hard-timeout kill settles immediately as ``status="timeout"`` — a job
-that blew a 3x wall-clock ceiling once will blow it again.
+What the daemon adds on top is policy.  Worker death mid-job is a
+first-class event, not an error path: the death's stage-``"worker"``
+:class:`~repro.resilience.failure.RunFailure` is recorded, the job is
+re-queued (up to ``max_requeues`` times, with spent chaos faults
+stripped by :func:`effective_spec`), the worker respawns, and only
+after repeated death does the job settle as ``status="failed"``
+carrying every death record.  A hard-timeout kill settles immediately
+as ``status="timeout"`` — a job that blew a 3x wall-clock ceiling once
+will blow it again.
 
 Shutdown drains politely: the socket answers ``{"ok": true}`` first,
 workers get a ``stop`` line + stdin EOF (finishing their current job),
@@ -27,11 +29,8 @@ restart-resume is the spool's whole point.
 
 from __future__ import annotations
 
-import json
 import os
 import socketserver
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -40,21 +39,39 @@ from repro.api.result import RunResult
 from repro.api.spec import RunSpec
 from repro.errors import ReproError
 from repro.obs.metrics import METRICS
-from repro.resilience.failure import WORKER_STAGE, RunFailure
-from repro.resilience.supervisor import (
-    DEFAULT_HEARTBEAT_TIMEOUT_S,
-    HEARTBEAT_INTERVAL_S,
-    hard_timeout_for,
-    kill_process,
-    worker_env,
-)
+from repro.resilience.failure import RunFailure
 from repro.service import protocol
 from repro.service.queue import DONE, Job, JobQueue
+from repro.service.worker import (
+    DEFAULT_HEARTBEAT_TIMEOUT_S,
+    HARD_TIMEOUT_ERROR,
+    HEARTBEAT_INTERVAL_S,
+    WorkerHandle,
+)
 
-#: dispatcher poll period while waiting on a worker
-_POLL_S = 0.05
 #: seconds a worker gets to finish its current job at shutdown
 _DRAIN_S = 30.0
+
+
+def effective_spec(spec: RunSpec, attempt: int) -> RunSpec:
+    """The spec as this dispatch attempt should run it.
+
+    First dispatch runs verbatim.  On a re-dispatch after worker death,
+    chaos faults with a finite ``fires`` budget are considered spent —
+    the fault that killed the previous worker fired in *that* process,
+    and its counter died with it — while ``fires: null`` (unlimited)
+    faults stay armed, so a persistently-faulty job keeps dying and
+    folds into a failed result at the daemon's re-queue bound.
+    """
+    if attempt <= 1 or spec.chaos is None:
+        return spec
+    from repro.resilience.chaos import ChaosConfig
+
+    config = ChaosConfig.coerce(spec.chaos)
+    kept = [f.to_dict() for f in config.faults if f.fires is None]
+    if not kept:
+        return spec.replaced(chaos=None)
+    return spec.replaced(chaos={"faults": kept, "seed": config.seed})
 
 
 def default_socket_path(cache_dir: str | None = None) -> str:
@@ -78,7 +95,7 @@ class ServiceConfig:
     #: watchdog grace before a silent worker is declared wedged
     heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S
     #: hard per-job wall-clock ceiling override (None → derive from
-    #: each spec's ``timeout_s`` exactly like the one-shot supervisor)
+    #: each spec's ``timeout_s``, see ``hard_timeout_for``)
     hard_timeout_s: float | None = None
     warm_max_entries: int = 8
     #: worker deaths tolerated per job before it settles as failed
@@ -95,133 +112,6 @@ class ServiceConfig:
             )
 
 
-class WorkerHandle:
-    """One resident worker process and its liveness bookkeeping."""
-
-    def __init__(self, index: int, config: ServiceConfig,
-                 queue: JobQueue) -> None:
-        self.index = index
-        self.config = config
-        self.queue = queue
-        self.proc: subprocess.Popen | None = None
-        self.lock = threading.Lock()
-        self.last_event = time.monotonic()
-        self.ready = threading.Event()
-        self.job_done = threading.Event()
-        self.job_result: dict | None = None
-        self.current_job: str | None = None
-        self.started_at: float | None = None
-        self.jobs_done = 0
-        self.deaths = 0
-        self.stderr_tail: list[str] = []
-
-    # -- lifecycle -----------------------------------------------------
-
-    def spawn(self) -> None:
-        self.ready.clear()
-        self.proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.service.worker"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=worker_env(),
-            text=True,
-        )
-        self.started_at = time.monotonic()  # uptime is a duration
-        self.last_event = time.monotonic()
-        threading.Thread(target=self._read_events, daemon=True).start()
-        threading.Thread(target=self._read_stderr, daemon=True).start()
-        self._send({
-            "op": "init",
-            "cache_dir": self.config.cache_dir,
-            "heartbeat_interval_s": self.config.heartbeat_interval_s,
-            "warm_max_entries": self.config.warm_max_entries,
-        })
-
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.poll() is None
-
-    def kill(self) -> None:
-        if self.proc is not None:
-            kill_process(self.proc)
-
-    def stop(self) -> None:
-        """Polite stop: stop line + EOF; the worker finishes its job."""
-        if self.proc is None:
-            return
-        try:
-            self.proc.stdin.write(json.dumps({"op": "stop"}) + "\n")
-            self.proc.stdin.close()
-        except (BrokenPipeError, OSError, ValueError):
-            pass
-
-    # -- I/O -----------------------------------------------------------
-
-    def _send(self, payload: dict) -> bool:
-        try:
-            self.proc.stdin.write(json.dumps(payload) + "\n")
-            self.proc.stdin.flush()
-            return True
-        except (BrokenPipeError, OSError, ValueError):
-            return False
-
-    def _read_events(self) -> None:
-        proc = self.proc
-        for line in proc.stdout:
-            self.last_event = time.monotonic()
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(event, dict):
-                continue
-            kind = event.get("event")
-            if kind == "heartbeat":
-                continue
-            if kind == "ready":
-                self.ready.set()
-                continue
-            job = event.get("job")
-            if kind in ("result", "job_error"):
-                with self.lock:
-                    if job == self.current_job:
-                        self.job_result = event
-                        self.job_done.set()
-                continue
-            if job:
-                # stage/probe/commit — stream into the job's buffer
-                self.queue.add_event(job, event)
-
-    def _read_stderr(self) -> None:
-        proc = self.proc
-        for line in proc.stderr:
-            self.stderr_tail.append(line.rstrip("\n"))
-            del self.stderr_tail[:-20]
-
-    def silent_for(self) -> float:
-        return time.monotonic() - self.last_event
-
-    def uptime_s(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        return time.monotonic() - self.started_at
-
-    def stats(self) -> dict:
-        return {
-            "worker": self.index,
-            "pid": self.proc.pid if self.proc else None,
-            "alive": self.alive(),
-            "ready": self.ready.is_set(),
-            "uptime_s": round(self.uptime_s(), 3),
-            "jobs_done": self.jobs_done,
-            "deaths": self.deaths,
-            "current_job": self.current_job,
-        }
-
-
 class ReproService:
     """The daemon: queue + worker pool + unix-socket request server."""
 
@@ -231,6 +121,7 @@ class ReproService:
         self.workers: list[WorkerHandle] = []
         self._dispatchers: list[threading.Thread] = []
         self._stopping = threading.Event()
+        self._stop_lock = threading.Lock()
         self._server: socketserver.ThreadingUnixStreamServer | None = None
         self._server_thread: threading.Thread | None = None
         self.started_at = time.time()  # wall clock, display only
@@ -241,7 +132,11 @@ class ReproService:
     def start(self) -> None:
         """Spawn workers, bind the socket, serve in the background."""
         for index in range(self.config.workers):
-            handle = WorkerHandle(index, self.config, self.queue)
+            handle = WorkerHandle(
+                index, cache_dir=self.config.cache_dir,
+                heartbeat_interval_s=self.config.heartbeat_interval_s,
+                warm_max_entries=self.config.warm_max_entries,
+            )
             handle.spawn()
             self.workers.append(handle)
             thread = threading.Thread(
@@ -282,23 +177,26 @@ class ReproService:
         self._server_thread.start()
 
     def stop(self) -> None:
-        """Drain workers, close the socket, keep the spool for resume."""
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        for handle in self.workers:
-            handle.stop()
-        deadline = time.monotonic() + _DRAIN_S
-        for handle in self.workers:
-            while handle.alive() and time.monotonic() < deadline:
-                time.sleep(_POLL_S)
-            if handle.alive():
-                handle.kill()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            if os.path.exists(self.config.socket_path):
-                os.unlink(self.config.socket_path)
+        """Drain workers, close the socket, keep the spool for resume.
+
+        A second caller blocks until the first one has finished, so the
+        foreground process never exits while a ``shutdown`` verb's stop
+        is still draining and the socket file would be left behind.
+        """
+        with self._stop_lock:
+            if self._stopping.is_set():
+                return
+            self._stopping.set()
+            for handle in self.workers:
+                handle.stop()
+            deadline = time.monotonic() + _DRAIN_S
+            for handle in self.workers:
+                handle.close(timeout_s=deadline - time.monotonic())
+            if self._server is not None:
+                self._server.shutdown()
+                self._server.server_close()
+                if os.path.exists(self.config.socket_path):
+                    os.unlink(self.config.socket_path)
 
     def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` verb (or KeyboardInterrupt)."""
@@ -331,130 +229,34 @@ class ReproService:
             handle.spawn()
 
     def _run_job(self, handle: WorkerHandle, job: Job) -> None:
-        if not handle.alive():
-            handle.spawn()
-        if not handle.ready.wait(timeout=120.0):
-            self._settle_death(handle, job, RunFailure(
-                stage=WORKER_STAGE, error="WorkerNotReady",
-                message=f"worker {handle.index} never reported ready",
-                elapsed_s=0.0,
-            ), elapsed=0.0)
-            self._respawn(handle)
-            return
-        with handle.lock:
-            handle.current_job = job.digest
-            handle.job_result = None
-            handle.job_done.clear()
         job.worker = handle.index
-        sent = handle._send({
-            "op": "job",
-            "job": job.digest,
-            "spec": job.spec.to_dict(),
-            "attempt": job.attempts,
-            "trace": job.trace,
-        })
-        t0 = time.perf_counter()
-        ceiling = hard_timeout_for(job.spec, self.config.hard_timeout_s)
-        failure: RunFailure | None = None
-        status = "failed"
-        if not sent:
-            failure = RunFailure(
-                stage=WORKER_STAGE, error="WorkerCrashed",
-                message=f"worker {handle.index} pipe closed before "
-                        "dispatch", elapsed_s=0.0,
-            )
-        while failure is None:
-            if handle.job_done.wait(timeout=_POLL_S):
-                break
-            elapsed = time.perf_counter() - t0
-            if not handle.alive():
-                # grace period: the result line may still be in flight
-                handle.job_done.wait(timeout=1.0)
-                if handle.job_done.is_set():
-                    break
-                failure = self._death_failure(handle, elapsed)
-                break
-            if ceiling is not None and elapsed > ceiling:
-                handle.kill()
-                status = "timeout"
-                failure = RunFailure(
-                    stage=WORKER_STAGE, error="WorkerHardTimeout",
-                    message=f"job exceeded hard wall-clock limit "
-                            f"{ceiling:.1f}s on worker {handle.index}; "
-                            "killed", elapsed_s=round(elapsed, 6),
-                )
-                break
-            if handle.silent_for() > self.config.heartbeat_timeout_s:
-                handle.kill()
-                failure = RunFailure(
-                    stage=WORKER_STAGE, error="WorkerHeartbeatLost",
-                    message=f"no worker event for "
-                            f"{self.config.heartbeat_timeout_s:.1f}s "
-                            "(hung or stopped); killed",
-                    elapsed_s=round(elapsed, 6),
-                )
-                break
-
-        elapsed = time.perf_counter() - t0
-        with handle.lock:
-            event = handle.job_result
-            handle.current_job = None
-
-        if failure is None and event is not None:
-            if event.get("event") == "result":
-                handle.jobs_done += 1
-                result = event.get("result") or {}
-                # fold the worker's per-job metrics delta into the
-                # daemon's registry — deltas never double-count
-                metrics = event.get("metrics")
-                if metrics is not None:
-                    METRICS.merge(metrics)
-                METRICS.inc("repro_service_jobs_total",
-                            status=result.get("status") or "unknown")
-                self.queue.finish(job, result, warm=event.get("warm"))
-                return
+        outcome = handle.run_job(
+            effective_spec(job.spec, job.attempts),
+            job=job.digest,
+            trace=job.trace,
+            hard_timeout_s=self.config.hard_timeout_s,
+            heartbeat_timeout_s=self.config.heartbeat_timeout_s,
+            on_event=lambda event: self.queue.add_event(job.digest, event),
+        )
+        if isinstance(outcome, dict):
+            result = outcome.get("result") or {}
+            METRICS.inc("repro_service_jobs_total",
+                        status=result.get("status") or "unknown")
+            self.queue.finish(job, result, warm=outcome.get("warm"))
+            return
+        if handle.alive():
             # job_error: the worker survived but the job blew up at the
             # protocol level — settle as failed, keep the worker
-            raw = event.get("failure")
-            try:
-                failure = RunFailure.from_dict(raw)
-            except (TypeError, ValueError):
-                failure = RunFailure(
-                    stage=WORKER_STAGE, error="WorkerProtocolError",
-                    message="worker job_error did not deserialize",
-                    elapsed_s=round(elapsed, 6),
-                )
-            self._settle_failed(job, failure, status="failed",
-                                elapsed=elapsed)
+            self._settle_failed(job, outcome, status="failed")
             return
-
-        if failure is None:  # pragma: no cover — loop always sets one
-            failure = self._death_failure(handle, elapsed)
-
-        if status == "timeout":
+        if outcome.error == HARD_TIMEOUT_ERROR:
             # no re-queue: a ceiling blown once will blow again
-            self._settle_failed(job, failure, status="timeout",
-                                elapsed=elapsed)
-            self._respawn(handle)
-            return
-        self._settle_death(handle, job, failure, elapsed)
+            self._settle_failed(job, outcome, status="timeout")
+        else:
+            self._settle_death(job, outcome)
         self._respawn(handle)
 
-    def _death_failure(self, handle: WorkerHandle,
-                       elapsed: float) -> RunFailure:
-        rc = handle.proc.returncode if handle.proc else None
-        detail = (f"worker {handle.index} died mid-job "
-                  f"(exit code {rc})")
-        tail = "\n".join(handle.stderr_tail).strip()
-        if tail:
-            detail += f"; stderr tail: {tail[-500:]}"
-        return RunFailure(
-            stage=WORKER_STAGE, error="WorkerCrashed", message=detail,
-            elapsed_s=round(elapsed, 6),
-        )
-
-    def _settle_death(self, handle: WorkerHandle, job: Job,
-                      failure: RunFailure, elapsed: float) -> None:
+    def _settle_death(self, job: Job, failure: RunFailure) -> None:
         """Re-queue after a death, or fold repeated deaths into failed."""
         job.death_failures.append(failure.to_dict())
         if job.attempts <= self.config.max_requeues:
@@ -464,14 +266,13 @@ class ReproService:
             })
             self.queue.requeue(job)
             return
-        self._settle_failed(job, failure, status="failed",
-                            elapsed=elapsed)
+        self._settle_failed(job, failure, status="failed")
 
     def _settle_failed(self, job: Job, failure: RunFailure,
-                       status: str, elapsed: float) -> None:
+                       status: str) -> None:
         result = RunResult.worker_failure(
             job.spec, failure, status=status,
-            wall_seconds=round(elapsed, 6),
+            wall_seconds=failure.elapsed_s,
         ).to_dict()
         if len(job.death_failures) > 1:
             # every death this job caused, oldest first

@@ -56,12 +56,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: another version are silently ignored on load.
 CACHE_FORMAT_VERSION = 1
 
-_CACHE_FORMAT_NAME = "repro-tile-config-cache"
 _ENTRY_FORMAT_NAME = "repro-tile-config-entry"
-
-#: Legacy whole-cache pickle name inside a ``--cache-dir`` directory
-#: (still read for migration; new write-backs go to the entry store).
-CACHE_FILE_NAME = "tile_configs.pkl"
 
 #: Directory name of the content-addressed entry store inside a
 #: ``--cache-dir`` directory.
@@ -154,81 +149,6 @@ class TileConfigCache:
             self._entries.clear()
             self.hits = self.misses = self.stores = self.rejected = 0
 
-    # -- persistence ---------------------------------------------------
-
-    def save(self, path: str) -> int:
-        """Write every entry to ``path``; returns the entry count.
-
-        The file is a pickled wrapper carrying a format name, a format
-        version, and a SHA-256 digest of the pickled entry payload, so
-        :meth:`load` can reject truncated, corrupted, or incompatible
-        files without crashing.  The write is atomic (temp + rename).
-        """
-        with self._lock:
-            entries = list(self._entries.items())
-        payload = pickle.dumps(
-            entries, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        wrapper = {
-            "format": _CACHE_FORMAT_NAME,
-            "version": CACHE_FORMAT_VERSION,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
-        # pid + thread id: concurrent saves (campaign workers) must not
-        # share a temp file, or interleaved writes corrupt it and the
-        # losing os.replace raises
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(wrapper, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        return len(entries)
-
-    def load(self, path: str) -> int:
-        """Merge entries previously :meth:`save`-d at ``path``.
-
-        Returns the number of entries merged.  A missing, corrupt,
-        digest-mismatched, or version-mismatched file is ignored (0),
-        never fatal — a cold start is always a safe fallback.
-        """
-        try:
-            with open(path, "rb") as fh:
-                wrapper = pickle.load(fh)
-            if not isinstance(wrapper, dict):
-                return 0
-            if wrapper.get("format") != _CACHE_FORMAT_NAME:
-                return 0
-            if wrapper.get("version") != CACHE_FORMAT_VERSION:
-                return 0
-            payload = wrapper.get("payload")
-            if (
-                not isinstance(payload, bytes)
-                or hashlib.sha256(payload).hexdigest()
-                != wrapper.get("sha256")
-            ):
-                return 0
-            entries = pickle.loads(payload)
-            if not isinstance(entries, list):
-                return 0
-        except Exception:
-            # a cold start is always safe; corrupt pickle streams can
-            # raise nearly anything (TypeError, KeyError, custom
-            # constructor errors), and the contract is "never fatal"
-            return 0
-        loaded = 0
-        with self._lock:
-            for key, config in entries:
-                if not isinstance(key, str) or not isinstance(
-                    config, TileConfig
-                ):
-                    continue
-                self._entries[key] = config
-                self._entries.move_to_end(key)
-                loaded += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return loaded
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -271,21 +191,23 @@ def stats_delta(before: dict, after: dict) -> dict:
 # ----------------------------------------------------------------------
 
 @contextmanager
-def _file_lock(path: str):
+def _file_lock(path: str, shared: bool = False):
     """``fcntl`` advisory lock held for the enclosed block.
 
     Per-entry writes are already atomic (temp + ``os.replace``); the
-    lock only serializes the *compound* operations — directory scans
-    interleaved with quarantine moves — across worker processes.  On
-    platforms without ``fcntl`` the lock degrades to a no-op, which
-    costs nothing but a chance of double-quarantining a damaged entry.
+    lock serializes the *compound* operations — directory scans
+    interleaved with quarantine moves and temp-file sweeps — against
+    each other (exclusive) and against in-flight writes (``shared``),
+    across threads and worker processes alike, so a sweep never
+    deletes a live writer's temp file.  On platforms without ``fcntl``
+    the lock degrades to a no-op.
     """
     if fcntl is None:  # pragma: no cover - non-POSIX platforms
         yield
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "a+b") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
         try:
             yield
         finally:
@@ -295,14 +217,14 @@ def _file_lock(path: str):
 class TileConfigStore:
     """Content-addressed per-digest store of :class:`TileConfig` entries.
 
-    The crash-safe replacement for the historical whole-cache pickle:
-    every entry lives in its own file named by the SHA-256 of its cache
-    key (``<root>/<aa>/<digest>.pkl``), written atomically via a
-    temp-file + ``os.replace``.  That makes cross-process sharing a
-    non-event — two workers storing the same digest write byte-identical
-    files, a worker killed mid-write leaves only a temp file behind
-    (swept opportunistically), and merge-on-writeback is simply "write
-    the digests the disk does not have yet".  Entries that fail
+    Crash-safe by layout: every entry lives in its own file named by
+    the SHA-256 of its cache key (``<root>/<aa>/<digest>.pkl``),
+    written atomically via a temp-file + ``os.replace``.  That makes
+    cross-process sharing a non-event — two workers storing the same
+    digest write byte-identical files, a worker killed mid-write leaves
+    only a temp file behind (swept by the next load), and
+    merge-on-writeback is simply "write the digests the disk does not
+    have yet".  Entries that fail
     verification on read (bad wrapper, payload digest mismatch, version
     skew) are *quarantined* — moved aside into ``<root>.quarantine/`` so
     they are inspected, never re-read, and never crash a load.
@@ -377,11 +299,15 @@ class TileConfigStore:
         # pid + thread id: concurrent writers never share a temp file
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
         try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(wrapper, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            # shared: a concurrent merge's sweep must not delete the
+            # temp file between its write and the replace
+            with _file_lock(self._lock_path, shared=True):
+                with open(tmp, "wb") as fh:
+                    pickle.dump(wrapper, fh,
+                                protocol=pickle.HIGHEST_PROTOCOL)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, path)
             self._known.add(digest)
         finally:
             if os.path.exists(tmp):  # a failed replace must not litter
@@ -395,9 +321,9 @@ class TileConfigStore:
     def read_entry(path: str):
         """``(key, TileConfig)`` from one entry file, or ``None``.
 
-        Verification mirrors :meth:`TileConfigCache.load`: format name,
-        format version, and the payload digest must all check out, and
-        the unpickled objects must have the expected types.  Any damage
+        The format name, format version, and payload digest must all
+        check out, and the unpickled objects must have the expected
+        types.  Any damage
         yields ``None`` — the caller decides whether to quarantine.
         """
         try:
@@ -528,33 +454,18 @@ class TileConfigStore:
 
 
 def cache_file_path(cache_dir: str) -> str:
-    """The persistence target inside a ``--cache-dir`` directory.
+    """The content-addressed store directory inside a ``--cache-dir``.
 
-    Since the content-addressed store replaced the whole-cache pickle
-    this is the store *directory*; :func:`verify_cache_file` and the
-    chaos harness accept it directly.
+    :func:`verify_cache_file` and the chaos harness accept it directly.
     """
     return os.path.join(cache_dir, CACHE_STORE_NAME)
 
 
-def legacy_cache_file_path(cache_dir: str) -> str:
-    """The pre-store whole-cache pickle (read for migration only)."""
-    return os.path.join(cache_dir, CACHE_FILE_NAME)
-
-
 def load_tile_cache(cache_dir: str, cache: TileConfigCache | None = None
                     ) -> TileConfigCache:
-    """Warm ``cache`` (default: a fresh one) from ``cache_dir``.
-
-    Merges the content-addressed entry store, then any legacy
-    whole-cache pickle left by an older version (its entries migrate
-    into the store on the next write-back).
-    """
+    """Warm ``cache`` (default: a fresh one) from ``cache_dir``'s store."""
     cache = cache if cache is not None else TileConfigCache()
     TileConfigStore(cache_file_path(cache_dir)).merge_into(cache)
-    legacy = legacy_cache_file_path(cache_dir)
-    if os.path.exists(legacy):
-        cache.load(legacy)
     return cache
 
 
@@ -573,33 +484,24 @@ def save_tile_cache(cache: TileConfigCache, cache_dir: str) -> int:
 def verify_cache_file(path: str) -> int:
     """How many entries ``path`` yields to a fresh load (0 = unusable).
 
-    ``path`` may be a store directory (per-digest layout), a single
-    entry file, or a legacy whole-cache pickle; damage is tolerated
-    with the same hostile-file discipline as the load paths, so callers
-    (CI smoke checks, chaos tests) can assert a write-back survived
-    without touching any shared cache state.
+    ``path`` may be a store directory or a single entry file; damage is
+    tolerated with the same hostile-file discipline as the load path,
+    so callers (CI smoke checks, chaos tests) can assert a write-back
+    survived without touching any shared cache state.
     """
     if os.path.isdir(path):
         return TileConfigStore(path).verify()["valid"]
-    if TileConfigStore.read_entry(path) is not None:
-        return 1
-    return TileConfigCache().load(path)
+    return int(TileConfigStore.read_entry(path) is not None)
 
 
 def verify_cache_store(cache_dir: str) -> dict:
-    """Full damage report for a ``--cache-dir`` directory.
+    """Damage report for a ``--cache-dir`` directory's store.
 
-    ``{"valid", "corrupt", "quarantined", "legacy_entries"}`` — the
-    store's :meth:`TileConfigStore.verify` report plus the entry count
-    of any legacy whole-cache pickle still present.  Read-only: nothing
-    is moved or deleted (the next load quarantines ``corrupt`` files).
+    ``{"valid", "corrupt", "quarantined"}`` — see
+    :meth:`TileConfigStore.verify`.  Read-only: nothing is moved or
+    deleted (the next load quarantines ``corrupt`` files).
     """
-    report = TileConfigStore(cache_file_path(cache_dir)).verify()
-    legacy = legacy_cache_file_path(cache_dir)
-    report["legacy_entries"] = (
-        TileConfigCache().load(legacy) if os.path.exists(legacy) else 0
-    )
-    return report
+    return TileConfigStore(cache_file_path(cache_dir)).verify()
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Debug package: injection, test generation, instrumentation, detection,
-localization, correction, and the full session."""
+localization, correction, and the full debug loop."""
 
 import pytest
 
 from repro.debug import (
     ERROR_KINDS,
-    EmulationDebugSession,
     add_control_point,
     add_observation_point,
     apply_correction,
@@ -25,6 +24,25 @@ from tests.conftest import make_adder_netlist
 
 def mapped_adder(width=5, registered=True):
     return map_to_luts(make_adder_netlist(width, registered=registered))
+
+
+def run_pipeline(packed, strategy, seed, **run):
+    """The full debug loop on an in-memory design (no spec to build)."""
+    from repro.api.design import device_for
+    from repro.api.pipeline import DebugPipeline, RunContext
+    from repro.debug import make_strategy
+    from repro.pnr.effort import EFFORT_PRESETS
+
+    device = device_for(packed)
+    ctx = RunContext(
+        packed=packed, device=device,
+        golden=packed.netlist.copy(f"{packed.netlist.name}.golden"),
+        strategy=make_strategy(strategy, packed, device, seed=seed,
+                               preset=EFFORT_PRESETS["fast"]),
+        seed=seed, **run,
+    )
+    DebugPipeline().execute(ctx)
+    return ctx
 
 
 def mapped_random(seed=0):
@@ -177,29 +195,19 @@ class TestDetection:
 class TestSession:
     @pytest.mark.parametrize("strategy", ["tiled", "quick_eco", "incremental"])
     def test_full_loop_fixes_error(self, strategy):
-        from repro.pnr.effort import EFFORT_PRESETS
-
-        packed = pack_netlist(mapped_adder(6))
-        session = EmulationDebugSession(
-            packed, strategy=strategy, seed=11,
-            preset=EFFORT_PRESETS["fast"], n_cycles=5, n_patterns=64,
+        ctx = run_pipeline(
+            pack_netlist(mapped_adder(6)), strategy, seed=11, n_cycles=5,
+            n_patterns=64, error_kind="output_invert", error_seed=2,
         )
-        from repro.tiling.partition import TilingOptions
-
-        report = session.run(error_kind="output_invert", error_seed=2)
-        assert report.detected
-        assert report.fixed
-        assert report.total_effort.work_units > 0
+        assert ctx.detected
+        assert ctx.fixed
+        assert ctx.strategy.total_effort.work_units > 0
 
     def test_tiled_session_localizes(self):
-        from repro.pnr.effort import EFFORT_PRESETS
-
-        packed = pack_netlist(mapped_adder(6))
-        session = EmulationDebugSession(
-            packed, strategy="tiled", seed=13,
-            preset=EFFORT_PRESETS["fast"], n_cycles=5, n_patterns=64,
+        ctx = run_pipeline(
+            pack_netlist(mapped_adder(6)), "tiled", seed=13, n_cycles=5,
+            n_patterns=64, error_kind="wrong_function", error_seed=7,
         )
-        report = session.run(error_kind="wrong_function", error_seed=7)
-        assert report.detected and report.fixed
-        assert report.localization is not None
-        assert report.localization.candidates
+        assert ctx.detected and ctx.fixed
+        assert ctx.localization is not None
+        assert ctx.localization.candidates

@@ -271,6 +271,21 @@ def test_daemon_cold_warm_bit_identity_dedup_and_events(tmp_path):
         assert stats["workers"][0]["jobs_done"] == 2
 
 
+def test_daemon_results_carry_their_tile_cache_delta(tmp_path):
+    spec = RunSpec(**dict(FAST, cache="shared"))
+    with service(tmp_path) as (svc, client):
+        cold = client.run(spec)["result"]
+        assert cold["cache"]["stores"] > 0
+        # the fresh resubmission replays what the cold run stored in
+        # the worker-resident cache
+        warm = client.run(spec, fresh=True)["result"]
+        assert warm["cache"]["hits"] > 0
+        assert stable(warm) == stable(cold)
+        # no cache, no delta
+        off = client.run(RunSpec(**dict(FAST, error_seed=2)))["result"]
+        assert off["cache"] is None
+
+
 def test_daemon_worker_death_requeues_once_and_completes(tmp_path):
     # the fault SIGKILLs the worker in localize on the first dispatch;
     # its finite fires-budget died with that process, so the re-queued

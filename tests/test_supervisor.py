@@ -2,12 +2,15 @@
 
 The process executor's contract: bit-identical results to the thread
 executor when workers live, structured stage-``"worker"`` failures when
-they die (crash, hang, hard timeout), and journal-backed resume that
-re-executes only unfinished specs after an interrupt.
+they die (crash, hang, hard timeout), every worker process gone when
+the campaign returns, and journal-backed resume that re-executes only
+unfinished specs after an interrupt.
 """
 
-import json
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -22,8 +25,14 @@ from repro.resilience.budget import (
     clamp_backoff,
     deadline_scope,
 )
+from repro.obs.metrics import METRICS
 from repro.resilience.failure import WORKER_STAGE, RunFailure
-from repro.resilience.supervisor import hard_timeout_for, run_supervised
+from repro.service.worker import (
+    HEARTBEAT_INTERVAL_S,
+    WorkerHandle,
+    hard_timeout_for,
+    result_of,
+)
 
 #: the cheapest spec that actually excites and fixes a bug
 #: (error_seed=0 on 9sym never excites — keep seeds >= 1)
@@ -47,14 +56,54 @@ def identical(a: RunResult, b: RunResult) -> bool:
     )
 
 
+def run_on_worker(spec: RunSpec,
+                  heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
+                  **job_options) -> RunResult:
+    """``spec`` on a fresh resident worker, closed afterwards."""
+    handle = WorkerHandle(heartbeat_interval_s=heartbeat_interval_s)
+    try:
+        return result_of(spec, handle.run_job(spec, **job_options))
+    finally:
+        handle.close()
+
+
+def worker_children() -> list[int]:
+    """Live ``repro.service.worker`` children of this process."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except OSError:
+            continue  # exited while we looked
+        state, ppid = fields[0], int(fields[1])
+        if (ppid == os.getpid() and state != "Z"
+                and b"repro.service.worker" in cmdline):
+            pids.append(int(entry))
+    return pids
+
+
+def no_worker_children(timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while worker_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
 # ----------------------------------------------------------------------
-# run_supervised
+# supervised runs on a resident worker
 # ----------------------------------------------------------------------
 
 def test_supervised_run_is_bit_identical_to_in_process():
     spec = RunSpec(**FAST)
     local = run_spec(spec)
-    remote = run_supervised(spec)
+    remote = run_on_worker(spec)
     assert remote.status == "ok"
     assert identical(local, remote)
     assert remote.spec == spec.to_dict()
@@ -63,7 +112,7 @@ def test_supervised_run_is_bit_identical_to_in_process():
 def test_worker_kill_becomes_structured_worker_failure():
     spec = RunSpec(design="9sym", preset="fast", max_probes=6,
                    cache="off", error_seed=2, chaos=KILL_SECOND)
-    result = run_supervised(spec)
+    result = run_on_worker(spec)
     assert result.status == "failed"
     assert len(result.failures) == 1
     failure = result.failures[0]
@@ -76,7 +125,7 @@ def test_worker_hang_trips_heartbeat_and_is_killed():
     chaos = {"faults": [{"kind": "worker_hang", "stage": "localize"}]}
     spec = RunSpec(design="9sym", preset="fast", max_probes=6,
                    cache="off", error_seed=1, chaos=chaos)
-    result = run_supervised(spec, heartbeat_timeout_s=1.5)
+    result = run_on_worker(spec, heartbeat_timeout_s=1.5)
     assert result.status == "failed"
     assert result.failures[0]["stage"] == WORKER_STAGE
     assert result.failures[0]["error"] == "WorkerHeartbeatLost"
@@ -84,12 +133,12 @@ def test_worker_hang_trips_heartbeat_and_is_killed():
 
 def test_hard_timeout_kills_a_cooperation_proof_worker():
     # an in-pipeline hang with no cooperative deadline armed: only the
-    # supervisor's hard ceiling can end this run
+    # handle's hard ceiling can end this run
     chaos = {"faults": [{"kind": "hang", "stage": "localize",
                          "hang_s": 60.0}]}
     spec = RunSpec(design="9sym", preset="fast", max_probes=6,
                    cache="off", error_seed=1, chaos=chaos)
-    result = run_supervised(spec, hard_timeout_s=2.0)
+    result = run_on_worker(spec, hard_timeout_s=2.0)
     assert result.status == "timeout"
     assert result.failures[0]["stage"] == WORKER_STAGE
     assert result.failures[0]["error"] == "WorkerHardTimeout"
@@ -108,20 +157,20 @@ def test_slow_heartbeat_worker_is_not_falsely_killed():
     # for death, however leisurely the beat
     spec = RunSpec(**FAST)
     local = run_spec(spec)
-    remote = run_supervised(spec, heartbeat_interval_s=1.0,
-                            heartbeat_timeout_s=2.5)
+    remote = run_on_worker(spec, heartbeat_interval_s=1.0,
+                           heartbeat_timeout_s=2.5)
     assert remote.status == "ok"
     assert identical(local, remote)
 
 
 def test_heartbeat_interval_rides_into_the_worker():
     # the converse proves the knob actually reaches the child: with the
-    # first beat scheduled *after* the grace window, a perfectly healthy
+    # next beat scheduled *after* the grace window, a live but silent
     # worker is declared heartbeat-lost
     spec = RunSpec(**dict(FAST, chaos={"faults": [
         {"kind": "hang", "stage": "localize", "hang_s": 30.0}]}))
-    result = run_supervised(spec, heartbeat_interval_s=10.0,
-                            heartbeat_timeout_s=2.0, hard_timeout_s=60.0)
+    result = run_on_worker(spec, heartbeat_interval_s=10.0,
+                           heartbeat_timeout_s=2.0, hard_timeout_s=60.0)
     assert result.status == "failed"
     assert result.failures[0]["stage"] == WORKER_STAGE
     assert result.failures[0]["error"] == "WorkerHeartbeatLost"
@@ -221,6 +270,57 @@ def test_process_campaign_survives_worker_kill_and_resumes(tmp_path):
     assert [r.status for r in resumed.results] == ["ok", "ok", "ok"]
     assert any("resume: skipped 2" in n for n in resumed.notes)
     assert identical(resumed.results[1], thread.results[1])
+
+
+def test_process_campaign_leaves_no_worker_alive():
+    specs = expand_matrix(RunSpec(**dict(FAST, chaos=KILL_SECOND)),
+                          error_seeds=[1, 2, 3])
+    campaign = CampaignRunner(workers=2, executor="process").run(specs)
+    assert [r.status for r in campaign.results] == ["ok", "failed", "ok"]
+    assert no_worker_children()
+
+
+def test_process_campaign_ctrl_c_kills_every_worker():
+    hang = {"faults": [{"kind": "hang", "stage": "localize",
+                        "hang_s": 60.0}]}
+    specs = expand_matrix(RunSpec(**dict(FAST, chaos=hang)),
+                          error_seeds=[1, 2, 3])
+    runner = CampaignRunner(workers=2, executor="process")
+    main = threading.main_thread().ident
+    finished = threading.Event()
+
+    def ctrl_c_once_both_workers_are_up() -> None:
+        deadline = time.monotonic() + 120.0
+        while not finished.is_set() and time.monotonic() < deadline:
+            handles = list(runner._handles)
+            if len(handles) == 2 and all(h.ready.is_set() for h in handles):
+                signal.pthread_kill(main, signal.SIGINT)
+                return
+            time.sleep(0.05)
+
+    trigger = threading.Thread(target=ctrl_c_once_both_workers_are_up)
+    trigger.start()
+    try:
+        campaign = runner.run(specs)
+    finally:
+        finished.set()
+        trigger.join()
+    assert campaign.interrupted
+    assert campaign.results == []  # killed runs never really happened
+    assert no_worker_children()
+
+
+def test_process_campaign_reuses_its_worker():
+    specs = expand_matrix(RunSpec(**FAST), error_seeds=[1, 2])
+    before = METRICS.snapshot()
+    campaign = CampaignRunner(workers=1, executor="process").run(specs)
+    assert [r.status for r in campaign.results] == ["ok", "ok"]
+    hits = sum(
+        c["value"] for c in METRICS.delta(before)["counters"]
+        if c["name"] == "repro_warm_registry_hits_total"
+    )
+    assert hits >= 1
+    assert no_worker_children()
 
 
 def test_process_campaign_aggregates_worker_cache_deltas(tmp_path):

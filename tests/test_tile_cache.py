@@ -195,16 +195,17 @@ def test_cache_lru_eviction_and_stats():
 # ----------------------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
+    from repro.tiling.cache import load_tile_cache, save_tile_cache
+
     cache = TileConfigCache()
     mapped, packed, tiled = build_tiled(cache)
     changes = flip_first_lut(mapped)
     tiled.apply_changeset(changes, seed=5, preset=EFFORT_PRESETS["fast"])
     assert cache.stores > 0
-    path = str(tmp_path / "cache.pkl")
-    assert cache.save(path) == len(cache)
+    cache_dir = str(tmp_path / "cache")
+    assert save_tile_cache(cache, cache_dir) == len(cache)
 
-    fresh = TileConfigCache()
-    assert fresh.load(path) == len(cache)
+    fresh = load_tile_cache(cache_dir)
     assert len(fresh) == len(cache)
 
     # a twin build against the loaded cache replays every configuration
@@ -218,124 +219,118 @@ def test_save_load_round_trip(tmp_path):
     assert_layout_legal(tiled2.layout)
 
 
+# hostile entry files: the store's loader must read each as damage
+# (``read_entry`` -> None) and ``merge_into`` must skip it, never raise
+
+def entry_file(tmp_path, config=None):
+    """A store holding one valid entry; returns (store, entry path)."""
+    from repro.tiling.cache import TileConfigStore
+
+    store = TileConfigStore(str(tmp_path / "store"))
+    store.write_entry("k", config or TileConfig({}, {}, {}))
+    return store, store.entry_path("k")
+
+
+def assert_ignored(store, path):
+    assert store.read_entry(path) is None
+    cache = TileConfigCache()
+    assert store.merge_into(cache) == 0
+    assert len(cache) == 0
+
+
+def rewrite_wrapper(path, **changes):
+    import pickle
+
+    with open(path, "rb") as fh:
+        wrapper = pickle.load(fh)
+    wrapper.update(changes)
+    with open(path, "wb") as fh:
+        pickle.dump(wrapper, fh)
+    return wrapper
+
+
 def test_load_missing_file_is_ignored(tmp_path):
-    cache = TileConfigCache()
-    assert cache.load(str(tmp_path / "nonexistent.pkl")) == 0
-    assert len(cache) == 0
+    from repro.tiling.cache import TileConfigStore
 
-
-def test_load_corrupt_file_is_ignored(tmp_path):
-    path = tmp_path / "corrupt.pkl"
-    path.write_bytes(b"this is not a pickle at all \x00\xff")
-    cache = TileConfigCache()
-    assert cache.load(str(path)) == 0
-    assert len(cache) == 0
+    store = TileConfigStore(str(tmp_path / "store"))
+    assert store.read_entry(str(tmp_path / "nonexistent.pkl")) is None
+    assert store.merge_into(TileConfigCache()) == 0
 
 
 def test_load_truncated_file_is_ignored(tmp_path):
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({}, {}, {}))
-    path = str(tmp_path / "trunc.pkl")
-    cache.save(path)
+    store, path = entry_file(tmp_path)
     with open(path, "rb") as fh:
         blob = fh.read()
     with open(path, "wb") as fh:
         fh.write(blob[: len(blob) // 2])
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
+    assert_ignored(store, path)
 
 
 def test_load_version_mismatch_is_ignored(tmp_path, monkeypatch):
     import repro.tiling.cache as cache_mod
 
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({}, {}, {}))
-    path = str(tmp_path / "versioned.pkl")
-    cache.save(path)
+    store, path = entry_file(tmp_path)
     monkeypatch.setattr(cache_mod, "CACHE_FORMAT_VERSION", 9999)
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
+    assert_ignored(store, path)
 
 
 def test_load_digest_mismatch_is_ignored(tmp_path):
     import pickle
 
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({}, {}, {}))
-    path = str(tmp_path / "tampered.pkl")
-    cache.save(path)
+    store, path = entry_file(tmp_path)
     with open(path, "rb") as fh:
-        wrapper = pickle.load(fh)
-    wrapper["payload"] = wrapper["payload"] + b"tamper"
-    with open(path, "wb") as fh:
-        pickle.dump(wrapper, fh)
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
+        payload = pickle.load(fh)["payload"]
+    rewrite_wrapper(path, payload=payload + b"tamper")
+    assert_ignored(store, path)
+
 
 def test_load_wrong_format_is_ignored(tmp_path):
-    import pickle
-
-    path = str(tmp_path / "alien.pkl")
-    with open(path, "wb") as fh:
-        pickle.dump(
-            {"format": "some-other-tool", "version": 1,
-             "sha256": "", "payload": b""},
-            fh,
-        )
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
-    assert len(fresh) == 0
+    store, path = entry_file(tmp_path)
+    rewrite_wrapper(path, format="some-other-tool")
+    assert_ignored(store, path)
 
 
 def test_load_empty_file_is_ignored(tmp_path):
-    path = tmp_path / "empty.pkl"
-    path.write_bytes(b"")
-    fresh = TileConfigCache()
-    assert fresh.load(str(path)) == 0
-    assert len(fresh) == 0
+    store, path = entry_file(tmp_path)
+    with open(path, "wb"):
+        pass
+    assert_ignored(store, path)
 
 
 def test_load_flipped_payload_byte_is_ignored(tmp_path):
     """A single flipped bit inside the payload trips the digest guard."""
     import pickle
 
-    cache = TileConfigCache()
-    cache.store("k", TileConfig({"b": (1, 2)}, {}, {}))
-    path = str(tmp_path / "flipped.pkl")
-    cache.save(path)
+    store, path = entry_file(tmp_path, TileConfig({"b": (1, 2)}, {}, {}))
     with open(path, "rb") as fh:
-        wrapper = pickle.load(fh)
-    payload = bytearray(wrapper["payload"])
+        payload = bytearray(pickle.load(fh)["payload"])
     payload[len(payload) // 2] ^= 0x40
-    wrapper["payload"] = bytes(payload)
-    with open(path, "wb") as fh:
-        pickle.dump(wrapper, fh)
-    fresh = TileConfigCache()
-    assert fresh.load(path) == 0
-    assert len(fresh) == 0
+    rewrite_wrapper(path, payload=bytes(payload))
+    assert_ignored(store, path)
 
 
 def test_verify_cache_file(tmp_path):
     from repro.tiling.cache import verify_cache_file
 
-    path = str(tmp_path / "cache.pkl")
-    assert verify_cache_file(path) == 0  # missing
-    cache = TileConfigCache()
-    cache.store("a", TileConfig({}, {}, {}))
-    cache.store("b", TileConfig({}, {}, {}))
-    cache.save(path)
-    assert verify_cache_file(path) == 2
-    with open(path, "wb") as fh:
-        fh.write(b"garbage")
-    assert verify_cache_file(path) == 0
+    path = tmp_path / "entry.pkl"
+    assert verify_cache_file(str(path)) == 0  # missing
+    path.write_bytes(b"garbage")
+    assert verify_cache_file(str(path)) == 0  # not an entry file
 
 
 def test_concurrent_save_load_store_stress(tmp_path):
-    """Campaign workers hammering one cache + disk file lose nothing."""
+    """Campaign workers hammering one cache + store lose nothing."""
     import os
     import threading
 
-    path = str(tmp_path / "stress.pkl")
+    from repro.tiling.cache import (
+        TileConfigStore,
+        cache_file_path,
+        load_tile_cache,
+        save_tile_cache,
+    )
+
+    cache_dir = str(tmp_path / "cache")
     cache = TileConfigCache(max_entries=4096)
     errors = []
 
@@ -344,16 +339,15 @@ def test_concurrent_save_load_store_stress(tmp_path):
             for n in range(25):
                 cache.store(f"w{worker}.k{n}", TileConfig({}, {}, {}))
                 if n % 5 == 0:
-                    cache.save(path)
+                    save_tile_cache(cache, cache_dir)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
     def reader():
         try:
             for _ in range(25):
-                other = TileConfigCache(max_entries=4096)
-                other.load(path)
-                cache.load(path)
+                load_tile_cache(cache_dir, TileConfigCache(max_entries=4096))
+                load_tile_cache(cache_dir, cache)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -367,11 +361,14 @@ def test_concurrent_save_load_store_stress(tmp_path):
     assert not errors
     # every stored key survived in memory (loads only ever merge)
     assert len(cache) == 4 * 25
-    cache.save(path)
-    fresh = TileConfigCache(max_entries=4096)
-    assert fresh.load(path) == 4 * 25
-    # atomic save leaves no temp droppings behind
-    assert [f for f in os.listdir(tmp_path) if ".tmp" in f] == []
+    save_tile_cache(cache, cache_dir)
+    fresh = load_tile_cache(cache_dir, TileConfigCache(max_entries=4096))
+    assert len(fresh) == 4 * 25
+    # atomic writes leave no temp droppings and nothing to quarantine
+    store = TileConfigStore(cache_file_path(cache_dir))
+    assert store.quarantined_files() == []
+    assert not any(".tmp." in name for _, _, names in os.walk(cache_dir)
+                   for name in names)
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +446,32 @@ def test_store_crash_leftovers_are_swept(tmp_path):
     assert not any(".tmp." in n for n in os.listdir(shard))
 
 
+def test_store_sweep_waits_for_in_flight_writers(tmp_path):
+    """A load's temp-file sweep never deletes a live writer's file."""
+    import os
+    import threading
+
+    from repro.tiling.cache import TileConfigStore, _file_lock
+
+    store = TileConfigStore(str(tmp_path / "store"))
+    store.write_entry("k", TileConfig({}, {}, {}))
+    live = store.entry_path("other") + ".tmp.1.1"
+    os.makedirs(os.path.dirname(live), exist_ok=True)
+    merged = []
+    with _file_lock(store._lock_path, shared=True):  # a writer mid-write
+        with open(live, "wb") as fh:
+            fh.write(b"partial")
+        loader = threading.Thread(
+            target=lambda: merged.append(store.merge_into(TileConfigCache()))
+        )
+        loader.start()
+        loader.join(timeout=0.3)
+        assert loader.is_alive() and os.path.exists(live)
+    loader.join()
+    # the writer is gone: its leftover is swept, the valid entry loads
+    assert merged == [1] and not os.path.exists(live)
+
+
 def test_verify_cache_file_accepts_store_dir_and_entry(tmp_path):
     from repro.tiling.cache import TileConfigStore, verify_cache_file
 
@@ -479,28 +502,5 @@ def test_verify_cache_store_reports_damage_read_only(tmp_path):
     assert report["valid"] == 1
     assert report["corrupt"] == [store.entry_path("broken")]
     assert report["quarantined"] == []
-    assert report["legacy_entries"] == 0
     # read-only: the damaged file is still in place afterwards
     assert len(store) == 2
-
-
-def test_load_tile_cache_migrates_legacy_pickle(tmp_path):
-    from repro.tiling.cache import (
-        TileConfigStore,
-        cache_file_path,
-        legacy_cache_file_path,
-        load_tile_cache,
-        save_tile_cache,
-    )
-
-    cache_dir = str(tmp_path)
-    old = TileConfigCache()
-    old.store("legacy-key", TileConfig({}, {}, {}))
-    old.save(legacy_cache_file_path(cache_dir))
-    cache = load_tile_cache(cache_dir)
-    assert cache.lookup("legacy-key") is not None
-    save_tile_cache(cache, cache_dir)
-    # the migrated entry now lives in the content-addressed store
-    fresh = TileConfigCache()
-    assert TileConfigStore(cache_file_path(cache_dir)).merge_into(fresh) == 1
-    assert fresh.lookup("legacy-key") is not None

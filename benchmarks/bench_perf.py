@@ -36,7 +36,12 @@ Measures, per design:
 * **observability overhead** — the largest design's campaign with and
   without an armed :class:`~repro.obs.trace.Tracer`; the armed run
   must stay within ``OBS_OVERHEAD_LIMIT_PCT`` of the disarmed one and
-  answer bit-identically.
+  answer bit-identically;
+* **initial P&R** (``pnr``) — absolute seconds of a design's initial
+  place-and-route as the pipeline runs it (fast preset, seed 1, the
+  spec's default device), min of ``PNR_REPEATS``, with annealer moves
+  and router expansions per second; the effort counts must equal the
+  pinned ``PNR_EFFORT_GOLDEN`` exactly.
 
 Results land in ``BENCH_perf.json``; every run also *appends* a
 timestamped summary to the file's ``history`` list, so the perf
@@ -63,7 +68,9 @@ Acceptance gates (checked at the end, non-zero exit on failure):
 * >=1.8x cone-sliced vs full-tape compiled *emulate* speedup on
   ``mips`` (``compiled_slicing_speedup``; without mips, or under
   ``--quick``, a regression canary on the best benched design);
-* <5% wall-clock overhead with tracing armed (``obs_overhead``).
+* <5% wall-clock overhead with tracing armed (``obs_overhead``);
+* initial-P&R effort counts equal to the pinned ones on every benched
+  design that has a pin (``pnr_effort_exact``).
 """
 
 from __future__ import annotations
@@ -75,11 +82,14 @@ import sys
 import time
 
 from repro.api import DebugPipeline, RunContext, RunResult, RunSpec
+from repro.api.design import device_for
 from repro.debug.testgen import random_stimulus
 from repro.errors import DebugFlowError
 from repro.generators import build_design
 from repro.netlist.simulate import SequentialSimulator
+from repro.pnr import EFFORT_PRESETS, EffortMeter, RoutingState, route_nets
 from repro.pnr.flow import layout_legality_errors
+from repro.pnr.placer import place_design
 from repro.tiling.cache import DEFAULT_TILE_CACHE
 
 DEFAULT_DESIGNS = ("s9234", "mips", "des")
@@ -110,6 +120,16 @@ SLICING_REPEATS = 3
 OBS_OVERHEAD_LIMIT_PCT = 5.0
 #: interleaved plain/traced run pairs for the overhead gate (min per arm)
 OBS_REPEATS = 5
+#: timed initial place-and-route runs per design (min reported)
+PNR_REPEATS = 3
+#: (annealer moves, router expansions) of each design's initial P&R;
+#: any change to a single move or expansion fails ``pnr_effort_exact``
+#: (tests/test_pnr_golden.py pins the placements and routes)
+PNR_EFFORT_GOLDEN = {
+    "s9234": (3000, 9822),
+    "mips": (31578, 110233),
+    "des": (32284, 154540),
+}
 
 
 def bench_sim_throughput(
@@ -143,6 +163,50 @@ def bench_sim_throughput(
         / out["interpreted"]["pattern_cycles_per_sec"]
     )
     return out
+
+
+def bench_pnr(design: str) -> dict:
+    """Absolute seconds and throughput of the initial place-and-route.
+
+    Runs the body of :func:`repro.pnr.flow.full_place_and_route` with
+    the pipeline's settings (fast preset, seed 1, non-strict routing,
+    the spec's default device) ``PNR_REPEATS`` times, timing placement
+    and routing separately; every repeat must meter the same effort.
+    """
+    packed = build_design(design).packed
+    device = device_for(packed)
+    preset = EFFORT_PRESETS["fast"]
+    place_s, route_s, total_s = [], [], []
+    efforts = set()
+    for _ in range(PNR_REPEATS):
+        meter = EffortMeter()
+        t0 = time.perf_counter()
+        placement = place_design(packed, device, seed=1, preset=preset,
+                                 meter=meter)
+        t1 = time.perf_counter()
+        route_nets(packed, device, placement, state=RoutingState(device),
+                   preset=preset, meter=meter, strict=False)
+        t2 = time.perf_counter()
+        place_s.append(t1 - t0)
+        route_s.append(t2 - t1)
+        total_s.append(t2 - t0)
+        efforts.add((meter.place_moves, meter.route_expansions))
+    assert len(efforts) == 1, f"{design}: P&R effort varies across runs"
+    moves, expansions = efforts.pop()
+    golden = PNR_EFFORT_GOLDEN.get(design)
+    return {
+        "repeats": PNR_REPEATS,
+        "initial_seconds": min(total_s),
+        "place_seconds": min(place_s),
+        "route_seconds": min(route_s),
+        "place_moves": moves,
+        "route_expansions": expansions,
+        "place_moves_per_s": moves / min(place_s),
+        "route_expansions_per_s": expansions / min(route_s),
+        "golden_effort": list(golden) if golden else None,
+        "effort_exact": None if golden is None
+        else (moves, expansions) == golden,
+    }
 
 
 def _localization_campaign(design: str, engine: str, error_seed: int,
@@ -519,7 +583,15 @@ def append_history(out_path: str, results: dict) -> list:
         fv = loc["formal_verify"]
         me = data["multi_error"]
         sw = data["service_warm"]
+        pnr = data["pnr"]
         summary["designs"][name] = {
+            "pnr": {
+                "initial_seconds": round(pnr["initial_seconds"], 3),
+                "place_moves_per_s": round(pnr["place_moves_per_s"]),
+                "route_expansions_per_s": round(
+                    pnr["route_expansions_per_s"]
+                ),
+            },
             "service_warm": {
                 "cold_seconds": sw["cold_seconds"],
                 "warm_seconds": sw["warm_seconds"],
@@ -610,6 +682,18 @@ def main(argv=None) -> int:
                 sim["speedup"],
             )
         )
+        pnr = bench_pnr(design)
+        print(
+            "  initial P&R: {:.3f}s (place {:.3f}s, {:.0f} moves/s; route "
+            "{:.3f}s, {:.0f} expansions/s; min of {}), effort {}".format(
+                pnr["initial_seconds"], pnr["place_seconds"],
+                pnr["place_moves_per_s"], pnr["route_seconds"],
+                pnr["route_expansions_per_s"], pnr["repeats"],
+                {True: "= pinned", False: "!= pinned", None: "unpinned"}[
+                    pnr["effort_exact"]
+                ],
+            )
+        )
         loc = bench_localization(
             design, ERROR_SEEDS.get(design, 1), max_probes=max_probes
         )
@@ -683,6 +767,7 @@ def main(argv=None) -> int:
             )
         )
         results["designs"][design] = {
+            "pnr": pnr,
             "sim_throughput": sim,
             "localization": loc,
             "multi_error": me,
@@ -764,6 +849,12 @@ def main(argv=None) -> int:
             for data in results["designs"].values()
         ),
     }
+    pinned = [
+        data["pnr"]["effort_exact"] for data in results["designs"].values()
+        if data["pnr"]["effort_exact"] is not None
+    ]
+    if pinned:
+        gates["pnr_effort_exact"] = all(pinned)
     if "des" in results["designs"]:
         gates["des_campaign_speedup"] = (
             results["designs"]["des"]["localization"]["campaign_speedup"]

@@ -81,14 +81,12 @@ class Device:
         self.ny = spec.ny
         self.channel_width = spec.channel_width
         self.io_per_slot = spec.io_per_slot
+        #: the whole CLB grid (the default placement region)
+        self.clb_region = Rect(0, 0, self.nx - 1, self.ny - 1)
 
     @property
     def name(self) -> str:
         return self.spec.name
-
-    @property
-    def clb_region(self) -> Rect:
-        return Rect(0, 0, self.nx - 1, self.ny - 1)
 
     def is_clb_site(self, x: int, y: int) -> bool:
         return 0 <= x < self.nx and 0 <= y < self.ny

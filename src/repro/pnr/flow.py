@@ -195,9 +195,13 @@ def _reroute_affected(
     meter: EffortMeter,
 ) -> None:
     packed, device = layout.packed, layout.device
+    fabric = layout.state.fabric
+    masks = [fabric.region_mask(r) for r in regions]
+    mask = masks[0] if len(masks) == 1 else bytes(map(max, *masks))
+    h = fabric.h
 
     def inside(cell: tuple[int, int]) -> bool:
-        return any(r.contains(*cell) for r in regions)
+        return mask[(cell[0] + 1) * h + cell[1] + 1] == 1
 
     confined: list[int] = []
     for net_idx in net_indices:
@@ -296,10 +300,11 @@ def _reroute_with_locked_interface(
             seeds = {min(outside_cells)}
         targets = inside_sinks + [a for a in anchors if a not in seeds]
 
+    new_eids: list[int] = []
     try:
         cells, edges, hops = grow_steiner_tree(
             layout.device, seeds, targets, layout.state,
-            region=union_region, meter=meter,
+            region=union_region, meter=meter, eids=new_eids,
         )
     except RoutingError:
         return None
@@ -307,6 +312,9 @@ def _reroute_with_locked_interface(
     tree = RouteTree(net_idx)
     tree.cells = cells | outside_cells | anchors
     tree.edges = edges | outside_edges
+    if len(tree.edges) == len(edges) + len(outside_edges):
+        edge_id = layout.state.fabric.edge_id
+        tree.eids = (*new_eids, *(edge_id(a, b) for a, b in outside_edges))
     tree.sink_hops = dict(old.sink_hops)
     for s in net.sinks:
         site = layout.placement.site_of(s)

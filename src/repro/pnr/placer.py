@@ -15,6 +15,19 @@ Key features:
   fanout correction factor;
 * every proposed move is charged to an :class:`EffortMeter`, which is
   how Figure 5's effort comparison is measured.
+
+The move loop runs on one flat-array state per call
+(:class:`_AnnealState`): block coordinates, site occupancy, movable and
+free-site masks, hoisted region bounds and per-net terminal lists,
+crossing factors and cached costs.  A proposal is scored on the arrays
+and touches the :class:`Placement` only when accepted.  The results are
+bit-identical with the dict-based annealer it replaced: the same RNG
+draws in the same order, per-net deltas summed in the same order,
+integer spans times the same crossing factors (so a net's cost does not
+depend on whether its span was rescanned or shifted), the same effort
+counts, and the same ``clb_at`` insertion order — a rejected
+displacement still moves its site key to the end, which bitstream
+assembly observes.
 """
 
 from __future__ import annotations
@@ -161,47 +174,118 @@ def _check_unmovable_placed(
 # annealing
 # ----------------------------------------------------------------------
 
-class _NetModel:
-    """Net structures + incrementally maintained bounding-box costs.
+#: nets with at most this many terminals recompute their span outright
+#: on every move; larger nets keep an incrementally shifted bounding box
+_SCAN_MAX = 3
 
-    The classic VPR speedup: each active net caches its terminal
-    bounding box as ``(xmin, n_xmin, xmax, n_xmax, ymin, n_ymin,
-    ymax, n_ymax)`` — extremes plus the number of terminals sitting on
-    each extreme — so a proposed move updates the box in O(1) and only
-    falls back to a full terminal scan when a sole extreme terminal
-    moves away.  Costs are byte-identical with the full recompute
-    (integer span times the same crossing factor).
+
+class _AnnealState:
+    """Flat-array annealing state, built once per :func:`place_design`.
+
+    Blocks are addressed by their ``PackedDesign`` index, CLB sites by
+    ``x * ny + y`` and active nets (those with a movable terminal) by
+    their position in :attr:`active_nets`:
+
+    * ``px``/``py`` hold every block's coordinates, ``occ`` the block on
+      each CLB site (-1 when empty), ``movable`` a 0/1 mask over blocks
+      and ``free_sites`` one over sites (None without that constraint);
+    * ``bounds`` holds each movable block's region as ``(x0, x1, y0,
+      y1)``, hoisted out of the move loop;
+    * ``terms``/``q``/``cost`` hold each net's terminals, crossing factor
+      and cached cost, and ``nets_of``/``net_sets`` each movable block's
+      nets.  Nets of up to ``_SCAN_MAX`` terminals recompute their span
+      outright; larger nets cache their bounding box in ``box`` as
+      ``(xmin, n_xmin, xmax, n_xmax, ymin, n_ymin, ymax, n_ymax)`` —
+      extremes plus the number of terminals on each — which
+      :func:`_bbox_shift` updates in O(1), rescanning only when a sole
+      extreme terminal moves away.
+
+    A move is evaluated on the arrays; the :class:`Placement` dicts are
+    written only when it is accepted, except that a rejected
+    displacement re-inserts the block's site key at the end of
+    ``clb_at``, as moving there and back always did.
     """
 
-    def __init__(self, packed: PackedDesign, movable: set[int]) -> None:
-        self.nets_of_block: dict[int, list[int]] = {b: [] for b in movable}
-        self.net_sets_of_block: dict[int, set[int]] = {b: set() for b in movable}
+    def __init__(
+        self,
+        packed: PackedDesign,
+        device: Device,
+        placement: Placement,
+        constraints: PlaceConstraints,
+        movable: set[int],
+        rng,
+    ) -> None:
+        self.placement = placement
+        self.rng = rng
+        self.ny = ny = device.ny
+        self.rlim_max = float(max(device.nx, device.ny))
+        self.n_sites = device.nx * ny
+        n_blocks = packed.n_blocks
+        self.movable_list = sorted(movable)
+        self.movable = bytearray(n_blocks)
+        for b in movable:
+            self.movable[b] = 1
+
+        self.free_sites: bytearray | None = None
+        if constraints.free_sites is not None:
+            self.free_sites = bytearray(self.n_sites)
+            for x, y in constraints.free_sites:
+                if device.is_clb_site(x, y):
+                    self.free_sites[x * ny + y] = 1
+        # a site draw needs a non-empty range around the block, so every
+        # region must lie on the grid and hold its block's start site
+        grid = device.clb_region
+        self.bounds: list[tuple[int, int, int, int] | None] = [None] * n_blocks
+        for b in movable:
+            r = constraints.regions.get(b, grid)
+            if not grid.contains_rect(r) or not r.contains(*placement.pos[b]):
+                raise PlacementError(
+                    f"block {b} at {placement.pos[b]} cannot anneal in {r}"
+                )
+            self.bounds[b] = (r.x0, r.x1, r.y0, r.y1)
+
         self.active_nets: list[int] = []
-        self.terminals: dict[int, list[int]] = {}
-        self.q: dict[int, float] = {}
+        self.terms: list[list[int]] = []
+        self.q: list[float] = []
+        self.nets_of: list[list[int]] = [[] for _ in range(n_blocks)]
         for net in packed.nets.values():
             blocks = [net.driver, *net.sinks]
-            if not any(b in movable for b in blocks):
+            if not any(self.movable[b] for b in blocks):
                 continue
+            k = len(self.terms)
             self.active_nets.append(net.index)
-            self.terminals[net.index] = blocks
-            self.q[net.index] = q_factor(len(blocks))
+            self.terms.append(blocks)
+            self.q.append(q_factor(len(blocks)))
             for b in blocks:
-                if b in movable:
-                    self.nets_of_block[b].append(net.index)
-                    self.net_sets_of_block[b].add(net.index)
-        self.bbox: dict[int, tuple] = {}
-        self.cost: dict[int, float] = {}
+                if self.movable[b]:
+                    self.nets_of[b].append(k)
+        self.net_sets = [frozenset(nets) for nets in self.nets_of]
 
-    def rebuild(self, pos: dict[int, tuple[int, int]]) -> None:
-        for n in self.active_nets:
-            entry = self.scan(n, pos)
-            self.bbox[n] = entry
-            self.cost[n] = self.cost_of(n, entry)
+        self.px = [0] * n_blocks
+        self.py = [0] * n_blocks
+        self.cost = [0.0] * len(self.terms)
+        self.box: list[tuple | None] = [None] * len(self.terms)
+        self.load()
 
-    def scan(self, net_idx: int, pos) -> tuple:
-        xs = [pos[b][0] for b in self.terminals[net_idx]]
-        ys = [pos[b][1] for b in self.terminals[net_idx]]
+    def load(self) -> None:
+        """Read every position from the placement; recompute every net."""
+        px, py, ny = self.px, self.py, self.ny
+        for b, (x, y) in self.placement.pos.items():
+            px[b] = x
+            py[b] = y
+        self.occ = occ = [-1] * self.n_sites
+        for (x, y), b in self.placement.clb_at.items():
+            occ[x * ny + y] = b
+        for k, blocks in enumerate(self.terms):
+            entry = self.scan(k)
+            self.box[k] = entry if len(blocks) > _SCAN_MAX else None
+            span = (entry[2] - entry[0]) + (entry[6] - entry[4])
+            self.cost[k] = span * self.q[k]
+
+    def scan(self, k: int) -> tuple:
+        """Net ``k``'s bounding-box entry from a full terminal scan."""
+        xs = [self.px[b] for b in self.terms[k]]
+        ys = [self.py[b] for b in self.terms[k]]
         xmin, xmax = min(xs), max(xs)
         ymin, ymax = min(ys), max(ys)
         return (
@@ -209,22 +293,182 @@ class _NetModel:
             ymin, ys.count(ymin), ymax, ys.count(ymax),
         )
 
-    def cost_of(self, net_idx: int, entry: tuple) -> float:
-        span = (entry[2] - entry[0]) + (entry[6] - entry[4])
-        return span * self.q[net_idx]
-
     def total(self) -> float:
-        return sum(self.cost.values())
+        return sum(self.cost)
+
+    def initial_temperature(self, meter: EffortMeter) -> float:
+        """VPR rule: T0 = 20 x stddev of cost over a random-move sample.
+
+        Sampling runs real moves at infinite temperature, so every
+        proposal is accepted and the placement drifts.  The pre-sample
+        placement is restored afterwards (remove every movable block,
+        then re-place each in block order, which fixes the dict order
+        the result carries) and the arrays reloaded — annealing must
+        start from the caller's placement, not a random walk off it.
+        """
+        placement = self.placement
+        saved = {b: placement.pos[b] for b in self.movable_list}
+        deltas: list[float] = []
+        samples = min(60, 5 * len(self.movable_list))
+        meter.place_moves += samples
+        self.sweep(samples, float("inf"), self.rlim_max, 0.0, deltas)
+
+        for b in self.movable_list:
+            placement.remove(b)
+        for b, site in saved.items():
+            placement.place_clb(b, site)
+        self.load()
+
+        if len(deltas) < 2:
+            return 1.0
+        mean = sum(deltas) / len(deltas)
+        var = sum((d - mean) ** 2 for d in deltas) / (len(deltas) - 1)
+        return max(1e-6, 20.0 * math.sqrt(var))
+
+    def sweep(
+        self,
+        moves: int,
+        temperature: float,
+        rlim: float,
+        total: float,
+        deltas: list[float] | None = None,
+    ) -> tuple[int, float]:
+        """Propose ``moves`` displace/swap moves at ``temperature``.
+
+        Each move draws the block (``randrange(n)``), the site
+        (``randint`` twice) and, only when the move would raise the cost
+        at a positive temperature, ``random()`` for Metropolis.  The
+        integer draws call ``Random._randbelow`` directly, which is all
+        ``randrange(n)`` and ``randint(a, b)`` do (``_randbelow(n)`` and
+        ``a + _randbelow(b - a + 1)``): the same stream without two
+        wrapper frames per draw.  Per-net cost deltas are
+        summed in the block's net order, then the occupant's remaining
+        nets.  Returns ``(accepted, total)`` with every accepted delta
+        added to ``total`` in order (and appended to ``deltas``).
+        """
+        rng = self.rng
+        below, random = rng._randbelow, rng.random
+        exp = math.exp
+        shift, scan = _bbox_shift, self.scan
+        px, py, occ, ny = self.px, self.py, self.occ, self.ny
+        movable, free, bounds = self.movable, self.free_sites, self.bounds
+        terms, q, cost, box = self.terms, self.q, self.cost, self.box
+        nets_of, net_sets = self.nets_of, self.net_sets
+        pos, clb_at = self.placement.pos, self.placement.clb_at
+        movable_list = self.movable_list
+        n_movable = len(movable_list)
+        span = max(1, int(rlim))
+        accepted = 0
+        for _ in range(moves):
+            block = movable_list[below(n_movable)]
+            bx = px[block]
+            by = py[block]
+            x0, x1, y0, y1 = bounds[block]
+            lo = max(x0, bx - span)
+            sx = lo + below(min(x1, bx + span) - lo + 1)
+            lo = max(y0, by - span)
+            sy = lo + below(min(y1, by + span) - lo + 1)
+            if sx == bx and sy == by:
+                continue
+            site_id = sx * ny + sy
+            if free is not None and not free[site_id]:
+                continue
+            other = occ[site_id]
+            block_nets = net_sets[block]
+            if other >= 0:
+                if not movable[other]:
+                    continue
+                if free is not None and not free[bx * ny + by]:
+                    continue
+                ox0, ox1, oy0, oy1 = bounds[other]
+                if not (ox0 <= bx <= ox1 and oy0 <= by <= oy1):
+                    continue
+                other_nets = net_sets[other]
+                affected = nets_of[block] + [
+                    k for k in nets_of[other] if k not in block_nets
+                ]
+                px[other] = bx
+                py[other] = by
+            else:
+                other_nets = None
+                affected = nets_of[block]
+            px[block] = sx
+            py[block] = sy
+
+            delta = 0.0
+            new_costs = []
+            new_boxes = []
+            for k in affected:
+                entry = box[k]
+                if entry is None:
+                    t = terms[k]
+                    if len(t) == 2:
+                        a, b = t
+                        s = abs(px[a] - px[b]) + abs(py[a] - py[b])
+                    else:
+                        xs = [px[b] for b in t]
+                        ys = [py[b] for b in t]
+                        s = max(xs) - min(xs) + max(ys) - min(ys)
+                else:
+                    if k in block_nets:
+                        entry = shift(entry, bx, by, sx, sy)
+                    if (
+                        entry is not None
+                        and other_nets is not None
+                        and k in other_nets
+                    ):
+                        entry = shift(entry, sx, sy, bx, by)
+                    if entry is None:
+                        entry = scan(k)
+                    new_boxes.append((k, entry))
+                    s = (entry[2] - entry[0]) + (entry[6] - entry[4])
+                c = s * q[k]
+                new_costs.append(c)
+                delta += c - cost[k]
+
+            if delta <= 0 or (
+                temperature > 0 and random() < exp(-delta / temperature)
+            ):
+                for k, c in zip(affected, new_costs):
+                    cost[k] = c
+                for k, entry in new_boxes:
+                    box[k] = entry
+                occ[bx * ny + by] = other
+                occ[site_id] = block
+                old_site = pos[block]
+                if other >= 0:
+                    site = pos[other]
+                    clb_at[old_site] = other
+                    clb_at[site] = block
+                    pos[other] = old_site
+                else:
+                    site = (sx, sy)
+                    del clb_at[old_site]
+                    clb_at[site] = block
+                pos[block] = site
+                total += delta
+                accepted += 1
+                if deltas is not None:
+                    deltas.append(delta)
+            else:
+                px[block] = bx
+                py[block] = by
+                if other >= 0:
+                    px[other] = sx
+                    py[other] = sy
+                else:
+                    old_site = pos[block]
+                    del clb_at[old_site]
+                    clb_at[old_site] = block
+        return accepted, total
 
 
-def _bbox_shift(entry: tuple, old: tuple[int, int], new: tuple[int, int]):
-    """Bounding box after moving one terminal ``old`` → ``new``.
+def _bbox_shift(entry: tuple, ox: int, oy: int, nx: int, ny: int):
+    """Bounding box after moving one terminal ``(ox, oy)`` → ``(nx, ny)``.
 
     Returns None when a drained extreme forces a terminal rescan.
     """
     xmin, nxmin, xmax, nxmax, ymin, nymin, ymax, nymax = entry
-    ox, oy = old
-    nx, ny = new
     if ox != nx:
         if ox == xmin:
             nxmin -= 1
@@ -268,92 +512,33 @@ def _anneal(
     preset: EffortPreset,
     meter: EffortMeter,
 ) -> None:
-    model = _NetModel(packed, movable)
-    if not model.active_nets:
+    state = _AnnealState(packed, device, placement, constraints, movable, rng)
+    if not state.active_nets:
         return
-    model.rebuild(placement.pos)
+    temperature = state.initial_temperature(meter)
+    total = state.total()
 
-    movable_list = sorted(movable)
-    temperature = _initial_temperature(
-        placement, constraints, device, movable_list, movable, model, rng,
-        meter,
-    )
-    total = model.total()
-
-    rlim = float(max(device.nx, device.ny))
-    moves_per_temp = max(4, int(preset.inner_num * len(movable_list) ** (4 / 3)))
+    n_movable = len(state.movable_list)
+    rlim = state.rlim_max
+    moves_per_temp = max(4, int(preset.inner_num * n_movable ** (4 / 3)))
     # small problems converge in few temperatures; cap the schedule so a
     # six-CLB tile job really is cheap (the effect Figure 5 measures)
-    max_temps = min(400, 40 + 12 * int(len(movable_list) ** 0.5))
+    max_temps = min(400, 40 + 12 * int(n_movable ** 0.5))
 
     for _ in range(max_temps):
-        accepted = 0
-        for _ in range(moves_per_temp):
-            meter.place_moves += 1
-            delta = _try_move(
-                placement, device, constraints, movable, movable_list,
-                model, rng, temperature, rlim,
-            )
-            if delta is not None:
-                total += delta
-                accepted += 1
+        meter.place_moves += moves_per_temp
+        accepted, total = state.sweep(moves_per_temp, temperature, rlim, total)
         rate = accepted / moves_per_temp
         temperature *= _cooling_factor(rate)
-        rlim = min(
-            float(max(device.nx, device.ny)),
-            max(1.0, rlim * (1.0 - 0.44 + rate)),
-        )
+        rlim = min(state.rlim_max, max(1.0, rlim * (1.0 - 0.44 + rate)))
         if temperature < preset.exit_ratio * max(total, 1.0) / len(
-            model.active_nets
+            state.active_nets
         ):
             break
 
     # zero-temperature quench: greedy pass accepting only improvements
-    for _ in range(moves_per_temp):
-        meter.place_moves += 1
-        delta = _try_move(
-            placement, device, constraints, movable, movable_list,
-            model, rng, 0.0, max(1.0, rlim),
-        )
-        if delta is not None:
-            total += delta
-
-
-def _initial_temperature(
-    placement, constraints, device, movable_list, movable, model, rng, meter,
-) -> float:
-    """VPR rule: T0 = 20 x stddev of cost over a random-move sample.
-
-    Sampling runs real moves at infinite temperature, so every proposal
-    is accepted and the placement drifts.  The pre-sample placement is
-    restored afterwards and the cost caches rebuilt — annealing must
-    start from the caller's placement, not a random walk off it.
-    """
-    saved = {b: placement.pos[b] for b in movable_list}
-    deltas = []
-    samples = min(60, 5 * len(movable_list))
-    for _ in range(samples):
-        meter.place_moves += 1
-        delta = _try_move(
-            placement, device, constraints, movable, movable_list,
-            model, rng, temperature=float("inf"),
-            rlim=float(max(device.nx, device.ny)),
-        )
-        if delta is not None:
-            deltas.append(delta)
-
-    # undo the sampling walk: put every movable block back
-    for b in movable_list:
-        placement.remove(b)
-    for b, site in saved.items():
-        placement.place_clb(b, site)
-    model.rebuild(placement.pos)
-
-    if len(deltas) < 2:
-        return 1.0
-    mean = sum(deltas) / len(deltas)
-    var = sum((d - mean) ** 2 for d in deltas) / (len(deltas) - 1)
-    return max(1e-6, 20.0 * math.sqrt(var))
+    meter.place_moves += moves_per_temp
+    state.sweep(moves_per_temp, 0.0, max(1.0, rlim), total)
 
 
 def _cooling_factor(acceptance_rate: float) -> float:
@@ -364,88 +549,3 @@ def _cooling_factor(acceptance_rate: float) -> float:
     if acceptance_rate > 0.15:
         return 0.95
     return 0.8
-
-
-def _try_move(
-    placement: Placement,
-    device: Device,
-    constraints: PlaceConstraints,
-    movable: set[int],
-    movable_list: list[int],
-    model: _NetModel,
-    rng,
-    temperature: float,
-    rlim: float,
-) -> float | None:
-    """Propose one displace/swap; returns accepted delta or None."""
-    block = movable_list[rng.randrange(len(movable_list))]
-    old_site = placement.pos[block]
-    bx, by = old_site
-    region = constraints.region_of(block, device)
-    span = max(1, int(rlim))
-    xlo, xhi = max(region.x0, bx - span), min(region.x1, bx + span)
-    ylo, yhi = max(region.y0, by - span), min(region.y1, by + span)
-    site = (rng.randint(xlo, xhi), rng.randint(ylo, yhi))
-    if site == old_site:
-        return None
-    if constraints.free_sites is not None and site not in constraints.free_sites:
-        return None
-
-    occupant = placement.clb_at.get(site)
-    if occupant is not None:
-        if occupant not in movable:
-            return None
-        if not constraints.allows_site(occupant, old_site, device):
-            return None
-
-    nets_of_block = model.nets_of_block
-    affected = list(nets_of_block[block])
-    if occupant is not None:
-        block_nets = model.net_sets_of_block[block]
-        affected.extend(
-            n for n in nets_of_block[occupant] if n not in block_nets
-        )
-
-    if occupant is None:
-        placement.move_clb(block, site)
-        moved = ((block, old_site, site),)
-    else:
-        placement.swap_clbs(block, occupant)
-        moved = ((block, old_site, site), (occupant, site, old_site))
-
-    # incremental bounding-box update per affected net (scan fallback)
-    pos = placement.pos
-    bbox = model.bbox
-    cost_cache = model.cost
-    net_sets = model.net_sets_of_block
-    delta = 0.0
-    new_state: list[tuple[int, tuple, float]] = []
-    for n in affected:
-        entry = bbox[n]
-        for b, frm, to in moved:
-            if n not in net_sets[b]:
-                continue
-            entry = _bbox_shift(entry, frm, to)
-            if entry is None:
-                break
-        if entry is None:
-            entry = model.scan(n, pos)
-        c = model.cost_of(n, entry)
-        new_state.append((n, entry, c))
-        delta += c - cost_cache[n]
-
-    accept = delta <= 0 or (
-        temperature > 0
-        and rng.random() < math.exp(-delta / temperature)
-    )
-    if not accept:
-        if occupant is None:
-            placement.move_clb(block, old_site)
-        else:
-            placement.swap_clbs(block, occupant)
-        return None
-
-    for n, entry, c in new_state:
-        bbox[n] = entry
-        cost_cache[n] = c
-    return delta

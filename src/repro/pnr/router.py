@@ -29,6 +29,7 @@ Tiling hooks:
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass, field
 
 from repro.arch.device import Device
@@ -43,8 +44,20 @@ Edge = tuple[tuple[int, int], tuple[int, int]]
 _INF = float("inf")
 
 
-def _edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
-    return (a, b) if a <= b else (b, a)
+class _AStarScratch(threading.local):
+    """Generation-stamped A* scratch arrays, one set per thread.
+
+    Stamping avoids per-call dict hashing.  The fabric is shared
+    process-wide, so the scratch must not be: two threads routing on
+    the same geometry would otherwise overwrite each other's costs and
+    parent pointers mid-search.
+    """
+
+    def __init__(self, n_cells: int) -> None:
+        self.best = [0.0] * n_cells
+        self.parent = [0] * n_cells
+        self.stamp = [0] * n_cells
+        self.generation = 0
 
 
 class _Fabric:
@@ -101,11 +114,7 @@ class _Fabric:
                 nbr[cid] = tuple(flat)
         self.nbr = nbr
         self._region_masks: dict[Rect, bytearray] = {}
-        # generation-stamped A* scratch (avoids per-call dict hashing)
-        self._best = [0.0] * n
-        self._parent = [0] * n
-        self._stamp = [0] * n
-        self._generation = 0
+        self.scratch = _AStarScratch(n)
 
     def cell_id(self, cell: tuple[int, int]) -> int:
         return (cell[0] + 1) * self.h + (cell[1] + 1)
@@ -356,13 +365,15 @@ def grow_steiner_tree(
     region: Rect | None = None,
     pres_fac: float = 2.0,
     meter: EffortMeter | None = None,
+    eids: list[int] | None = None,
 ) -> tuple[set[tuple[int, int]], set[Edge], dict[tuple[int, int], int]]:
     """Grow a tree from ``seed_cells`` reaching every target cell.
 
     This is the primitive behind interface-preserving tile reroutes: the
     seeds are the locked boundary-crossing cells (or the driver site) and
     the targets are the sinks inside the tile plus the remaining
-    crossings.  Returns (cells, edges, hops per target).
+    crossings.  Returns (cells, edges, hops per target); when ``eids``
+    is given, the fabric edge id of every new edge is appended to it.
     """
     meter = meter if meter is not None else EffortMeter()
     cells = set(seed_cells)
@@ -381,11 +392,7 @@ def grow_steiner_tree(
                 + (f" within region {region}" if region else "")
             )
         hops[target] = len(path) - 1
-        prev = path[0]
-        for cell in path[1:]:
-            edges.add(_edge(prev, cell))
-            cells.add(cell)
-            prev = cell
+        _extend_tree(state.fabric, path, cells, edges, eids)
     return cells, edges, hops
 
 
@@ -404,6 +411,7 @@ def _route_one(
     sinks = [(placement.site_of(s), s) for s in net.sinks]
     tree = RouteTree(net_idx)
     tree.cells.add(source)
+    eids: list[int] = []
 
     for target, sink_block in sorted(
         sinks, key=lambda item: (manhattan(source, item[0]), item[1])
@@ -420,12 +428,37 @@ def _route_one(
                 + (f" within region {region}" if region else "")
             )
         tree.sink_hops[sink_block] = len(path) - 1
-        prev = path[0]
-        for cell in path[1:]:
-            tree.edges.add(_edge(prev, cell))
-            tree.cells.add(cell)
-            prev = cell
+        _extend_tree(state.fabric, path, tree.cells, tree.edges, eids)
+    tree.eids = tuple(eids)
     return tree
+
+
+def _extend_tree(
+    fab: _Fabric,
+    path: list[int],
+    cells: set[tuple[int, int]],
+    edges: set[Edge],
+    eids: list[int] | None,
+) -> None:
+    """Add an A* cell-id path's cells and edges (and edge ids) to a tree.
+
+    Every cell after the first is new to the tree — the search starts
+    from all tree cells at cost zero — so every edge is new as well and
+    ``eids`` stays in one-to-one correspondence with ``edges``.
+    """
+    xy = fab.xy
+    prev = path[0]
+    a = xy[prev]
+    for cid in path[1:]:
+        b = xy[cid]
+        edges.add((a, b) if a <= b else (b, a))
+        cells.add(b)
+        if eids is not None:
+            # the lower cell id owns the segment; ids one apart are
+            # vertical neighbours (axis 1)
+            lo = prev if prev < cid else cid
+            eids.append(2 * lo + (1 if prev - cid in (1, -1) else 0))
+        prev, a = cid, b
 
 
 def _astar(
@@ -436,10 +469,11 @@ def _astar(
     pres_fac: float,
     meter: EffortMeter,
 ):
-    """Multi-source A* over the fabric cell ids; returns a tuple path.
+    """Multi-source A* over the fabric cell ids; returns a cell-id path.
 
     The device geometry comes entirely from ``state.fabric`` — neighbor
-    tables, region masks and the generation-stamped scratch arrays.
+    tables, region masks and this thread's generation-stamped scratch
+    arrays.
     """
     fab = state.fabric
     h = fab.h
@@ -450,11 +484,12 @@ def _astar(
     tid = (tx + 1) * h + (ty + 1)
     mask = fab.region_mask(region) if region is not None else None
 
-    fab._generation += 1
-    gen = fab._generation
-    best = fab._best
-    parent = fab._parent
-    stamp = fab._stamp
+    scratch = fab.scratch
+    scratch.generation += 1
+    gen = scratch.generation
+    best = scratch.best
+    parent = scratch.parent
+    stamp = scratch.stamp
 
     open_heap: list[tuple[float, int, int]] = []
     counter = 0
@@ -478,13 +513,11 @@ def _astar(
         expansions += 1
         if cid == tid:
             meter.route_expansions += expansions
-            xy = fab.xy
-            path = [xy[cid]]
+            path = [cid]
             nxt = parent[cid]
             while nxt != -1:
-                cid = nxt
-                path.append(xy[cid])
-                nxt = parent[cid]
+                path.append(nxt)
+                nxt = parent[nxt]
             path.reverse()
             return path
         for ncid, eid in nbr_table[cid]:

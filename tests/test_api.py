@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.api.cli import main as cli_main
 from repro.debug import STRATEGY_REGISTRY, make_strategy
 from repro.errors import DebugFlowError, SpecError
 from repro.generators import build_design
+from repro.service.worker import worker_env
 
 FAST = dict(preset="fast", max_probes=6, cache="private")
 
@@ -25,6 +28,34 @@ def fast_spec(**overrides) -> RunSpec:
     merged = {**FAST, "design": "9sym", "error_seed": 1}
     merged.update(overrides)
     return RunSpec(**merged)
+
+
+#: a ``workers=2`` thread campaign, uncached so every run routes from
+#: scratch, compared three times with the serial run (effort counts and
+#: probe trajectories); prints the three verdicts as JSON
+_THREAD_CAMPAIGN = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.setswitchinterval(1e-4)  # interleave the workers finely
+from repro.api import CampaignRunner, RunSpec, expand_matrix
+specs = expand_matrix(
+    RunSpec(design="s9234", preset="fast", cache="off", max_probes=4),
+    error_seeds=[3, 5, 7, 9],
+)
+def key(campaign):
+    return [
+        (r.effort["initial"]["place_moves"],
+         r.effort["initial"]["route_expansions"],
+         r.effort["debug"]["place_moves"],
+         r.effort["debug"]["route_expansions"],
+         r.trajectory_key())
+        for r in campaign.results
+    ]
+serial = key(CampaignRunner(workers=1).run(specs))
+print(json.dumps(
+    [key(CampaignRunner(workers=2).run(specs)) == serial for _ in range(3)]
+))
+"""
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +282,19 @@ class TestCampaign:
             assert (a.detected, a.localized, a.fixed) == (
                 b.detected, b.localized, b.fixed
             )
+
+    def test_thread_workers_route_like_serial(self):
+        """Thread workers share the process-wide routing fabric, so each
+        needs its own A* scratch; shared scratch gave other routes (or a
+        parent-pointer cycle that grows a path without bound, hence the
+        child process under a memory and time ceiling)."""
+        out = subprocess.run(
+            [sys.executable, "-c", _THREAD_CAMPAIGN],
+            capture_output=True, text=True, timeout=300,
+            env=worker_env(),
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert json.loads(out.stdout.splitlines()[-1]) == [True] * 3
 
     def test_campaign_result_round_trip(self, tmp_path):
         campaign = CampaignRunner().run([fast_spec()])

@@ -114,59 +114,80 @@ def test_overfull_region_raises():
         place_design(packed, device, seed=1, constraints=constraints)
 
 
-def test_initial_temperature_restores_placement():
-    """The T0 sampling walk must not leak into the starting placement."""
-    from repro.pnr import placer as placer_mod
+def anneal_state(packed, device, placement):
+    """Annealing state over every CLB, unconstrained."""
+    from repro.pnr.placer import _AnnealState
     from repro.rng import make_rng
 
+    return _AnnealState(
+        packed, device, placement, PlaceConstraints(),
+        {b.index for b in packed.clb_blocks()}, make_rng(7, "anneal-test"),
+    )
+
+
+def test_region_must_hold_start_site():
+    """An annealed block's region must contain the site it starts on."""
+    packed = fresh_packed_design()
+    device = pick_device(packed.n_clbs, area_overhead=0.5,
+                         min_io=len(packed.io_blocks()))
+    base = place_design(packed, device, seed=5, preset=EFFORT_PRESETS["fast"])
+    block = packed.clb_blocks()[0].index
+    away = (1, 1) if base.site_of(block) == (0, 0) else (0, 0)
+    constraints = PlaceConstraints(regions={block: Rect(*away, *away)})
+    with pytest.raises(PlacementError):
+        place_design(packed, device, seed=5, preset=EFFORT_PRESETS["fast"],
+                     initial=base, constraints=constraints, movable={block})
+
+
+def test_initial_temperature_restores_placement():
+    """The T0 sampling walk must not leak into the starting placement."""
     packed = fresh_packed_design()
     device = pick_device(packed.n_clbs, area_overhead=0.5,
                          min_io=len(packed.io_blocks()))
     placement = place_design(packed, device, seed=7,
                              preset=EFFORT_PRESETS["fast"])
-    movable = {b.index for b in packed.clb_blocks()}
-    model = placer_mod._NetModel(packed, movable)
-    model.rebuild(placement.pos)
+    state = anneal_state(packed, device, placement)
     before_pos = dict(placement.pos)
     before_clb_at = dict(placement.clb_at)
-    before_costs = dict(model.cost)
+    before_costs = list(state.cost)
 
-    temperature = placer_mod._initial_temperature(
-        placement, PlaceConstraints(), device, sorted(movable), movable,
-        model, make_rng(7, "t0-test"), EffortMeter(),
-    )
+    temperature = state.initial_temperature(EffortMeter())
     assert temperature > 0
     assert placement.pos == before_pos
     assert placement.clb_at == before_clb_at
     # cost caches were rebuilt against the restored placement
-    assert model.cost == before_costs
-    fresh = placer_mod._NetModel(packed, movable)
-    fresh.rebuild(placement.pos)
-    assert fresh.bbox == model.bbox
+    assert state.cost == before_costs
+    fresh = anneal_state(packed, device, placement)
+    assert fresh.box == state.box
+    # and the arrays were reloaded from it
+    assert (fresh.px, fresh.py, fresh.occ) == (state.px, state.py, state.occ)
 
 
-def test_bbox_shift_matches_scan():
+def test_bbox_shift_matches_scan(styr_bundle):
     """Incremental bbox updates agree with a full terminal rescan."""
+    from repro.api.design import device_for
     from repro.pnr.placer import _bbox_shift
     from repro.rng import make_rng
 
+    packed = styr_bundle.packed
+    device = device_for(packed)
+    placement = place_design(packed, device, seed=1,
+                             preset=EFFORT_PRESETS["fast"])
+    state = anneal_state(packed, device, placement)
+    k = max(range(len(state.terms)), key=lambda k: len(state.terms[k]))
+    terms = state.terms[k]
+    assert len(terms) >= 6
+    px, py = state.px, state.py
+
     rng = make_rng(11, "bbox")
-    points = [(rng.randrange(12), rng.randrange(12)) for _ in range(6)]
-
-    def scan(pts):
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        return (min(xs), xs.count(min(xs)), max(xs), xs.count(max(xs)),
-                min(ys), ys.count(min(ys)), max(ys), ys.count(max(ys)))
-
-    entry = scan(points)
+    entry = state.scan(k)
     for _ in range(500):
-        i = rng.randrange(len(points))
-        new = (rng.randrange(12), rng.randrange(12))
-        shifted = _bbox_shift(entry, points[i], new)
-        points[i] = new
-        entry = scan(points) if shifted is None else shifted
-        assert entry == scan(points)
+        b = terms[rng.randrange(len(terms))]
+        nx, ny = rng.randrange(12), rng.randrange(12)
+        shifted = _bbox_shift(entry, px[b], py[b], nx, ny)
+        px[b], py[b] = nx, ny
+        entry = state.scan(k) if shifted is None else shifted
+        assert entry == state.scan(k)
 
 
 def test_placement_site_bookkeeping():

@@ -61,7 +61,6 @@ memo is dropped on every full or incremental recompile.
 from __future__ import annotations
 
 from collections import OrderedDict
-from weakref import WeakKeyDictionary
 
 from repro.errors import NetlistError
 from repro.netlist.cells import CellKind
@@ -603,13 +602,14 @@ class CompiledKernel:
 # shared kernels
 # ----------------------------------------------------------------------
 
-_KERNELS: "WeakKeyDictionary[Netlist, CompiledKernel]" = WeakKeyDictionary()
-
-
 def kernel_for(netlist: Netlist) -> CompiledKernel:
-    """One shared kernel per netlist (revision-checked on every use)."""
-    kernel = _KERNELS.get(netlist)
+    """One shared kernel per netlist (revision-checked on every use).
+
+    The kernel lives on the netlist, so it is released with it.  (A
+    weak-keyed table would not release either: its value, the kernel,
+    holds the netlist.)
+    """
+    kernel = netlist._kernel
     if kernel is None:
-        kernel = CompiledKernel(netlist)
-        _KERNELS[netlist] = kernel
+        kernel = netlist._kernel = CompiledKernel(netlist)
     return kernel

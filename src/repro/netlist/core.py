@@ -171,6 +171,8 @@ class Netlist:
         self._topo_cache: list[Instance] | None = None
         self._levels_cache: dict[str, int] | None = None
         self._adj_cache: Adjacency | None = None
+        #: the compiled kernel (:func:`~repro.netlist.compiled.kernel_for`)
+        self._kernel = None
 
     @property
     def revision(self) -> int:

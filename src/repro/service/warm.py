@@ -25,9 +25,9 @@ Within a hit, the pristine bundle is never handed to the pipeline
 logic); each job gets a **fork** — ``mapped.copy()`` re-packed — which
 is structurally identical by construction and 4–10x cheaper than a
 rebuild.  The golden model *is* shared across jobs (the pipeline only
-reads it), so its compiled kernel — keyed by netlist object in
-:func:`~repro.emulate.kernel.kernel_for`'s ``WeakKeyDictionary`` — and
-its simulation net-history stay warm; a revision guard invalidates the
+reads it), so its compiled kernel — held by the netlist object, see
+:func:`~repro.netlist.compiled.kernel_for` — and its simulation
+net-history stay warm; a revision guard invalidates the
 entry if any future code path mutates it.
 
 Registry-wide (not per entry): one :class:`TileConfigCache` warmed once

@@ -33,6 +33,7 @@ do); the handle only respawns its child on the next job.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -308,6 +309,15 @@ def serve_jobs(stdin=None) -> int:
                 # count every earlier job when the parent merges
                 "metrics": METRICS.delta(metrics_before),
             }, lock)
+            if not was_warm:
+                # a miss added long-lived warm state; park everything
+                # alive now in the permanent generation, so the full
+                # collections of later warm jobs stop rescanning it
+                # (~0.1 s each, landing on whichever job triggers one).
+                # Unfreezing first lets an evicted entry be collected.
+                gc.unfreeze()
+                gc.collect()
+                gc.freeze()
         except BaseException as exc:  # noqa: BLE001
             if isinstance(exc, KeyboardInterrupt):
                 break

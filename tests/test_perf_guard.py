@@ -6,9 +6,13 @@ These tests exist so cache-invalidation bugs fail fast:
   or recompute the memoized ``topo_order()``/``levels()``/adjacency;
 * every mutation class must bump the revision and drop the caches;
 * the compiled kernel must stay on the incremental path for
-  changeset-tracked ECOs and recompile fully for untracked ones;
+  changeset-tracked ECOs, recompile fully for untracked ones, and be
+  released with its netlist;
 * the bitset cone engine must agree with the BFS reference.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -94,6 +98,17 @@ class TestStructureCaching:
 
 
 class TestCompiledKernelGuard:
+    def test_kernel_released_with_its_netlist(self):
+        # a long-lived worker compiles kernels for every job's netlist
+        # copies; those copies must not outlive the job
+        netlist = make_adder_netlist(4)
+        kernel = kernel_for(netlist)
+        assert kernel_for(netlist) is kernel
+        ref = weakref.ref(netlist)
+        del netlist, kernel
+        gc.collect()
+        assert ref() is None
+
     def test_shared_kernel_not_recompiled_by_reuse(self, mid_design):
         kernel = kernel_for(mid_design)
         assert kernel is kernel_for(mid_design)
